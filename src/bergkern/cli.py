@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     except (ToleranceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:          # input the computation rejects (WeightError too)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

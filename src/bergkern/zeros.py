@@ -15,7 +15,8 @@ produce zeros.  Two independent mechanisms are implemented:
 * an argument-principle counter: the winding number of the truncated
   polynomial (1-t)^2 P_N(t) along |t| = rho counts the zeros of F inside,
   certified whenever the contour minimum modulus exceeds the series tail
-  bound times (1+rho)^2.
+  bound times (1+rho)^2.  The counted zeros are located from the contour
+  moments of that polynomial plus a Newton polish, not from companion roots.
 
 The counter is also the engine behind parameter sweeps, the smooth
 (mollified) plateau check, and the point-mass threshold cross-check.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -51,7 +52,7 @@ class SecondDifferenceSummary:
     remainder_bound: float       # certified bound on the k > n_cutoff tail
     s_bound: float               # certified upper bound on the full series sum
     all_negative: bool
-    sign_certified: bool         # True when signs were checked in exact rational arithmetic
+    sign_certified: bool         # True when every sign up to n_cutoff was checked exactly
     first_difference_limit: float  # lim_k (alpha_k - alpha_{k-1}) = 1/(pi * outer value)
 
 
@@ -95,7 +96,7 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
             and isinstance(series.weight, (ConstantWeight, StepWeight))):
         all_negative, telescoping_valid = _second_difference_signs_exact(
             as_step(series.weight), min(n_cutoff, 600))
-        sign_certified = True
+        sign_certified = n_cutoff <= 600    # past 600 the signs are float-only
 
     v_out, big_g, q = outer_tail_parameters(series.weight)
     scale = series.tail_constant / (1.0 if isinstance(series.weight, DiracAugmentedWeight)
@@ -137,13 +138,6 @@ class RoucheCertificate:
     s_bound: float                   # certified bound on sum of |second differences|
     holds: bool                      # min_l > s_bound and |linear_root| < ring_radius
     second_differences: SecondDifferenceSummary
-
-    def scaled_units(self, factor: float) -> dict:
-        """Report values multiplied by factor (display helper)."""
-        return {"epsilon": self.epsilon, "ring_radius": self.ring_radius,
-                "linear_root": self.linear_root,
-                "min_l": self.min_l * factor, "s_bound": self.s_bound * factor,
-                "holds": self.holds}
 
 
 def min_affine_modulus_on_circle(a0: float, slope: float, radius: float) -> float:
@@ -270,26 +264,34 @@ def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
     return None
 
 
-def _locate_zeros(series: KernelSeries, rho: float, residual_target: float,
-                  guess_degree: int = 360):
-    """Refine companion-matrix roots of a moderate truncation against the
-    certified series; only zeros meeting the residual target are kept."""
-    poly = diagonal_poly(series, guess_degree)
-    roots = np.roots(poly[::-1])
+def _locate_zeros(series: KernelSeries, coeffs: np.ndarray, rho: float, count: int,
+                  residual_target: float):
+    """Zeros of F in |t| < rho from the contour moments of the polynomial p = `coeffs`.
+
+    Trapezoid means of (t/rho)^k t p'/p on |t| = rho are the scaled power sums of
+    the `count` zeros of p inside; their Hankel pencil's eigenvalues are those zeros
+    (Delves & Lyness 1967).  The sums are real, so the starts with Im >= 0 are
+    Newton-polished against the certified series and the non-real ones mirrored.
+    """
+    m = 1 << max(12, (len(coeffs) - 1).bit_length())
+    scaled = coeffs * rho ** np.arange(len(coeffs))
+    g = np.fft.ifft(scaled * np.arange(len(coeffs)), m) / np.fft.ifft(scaled, m)
+    hankel = np.fft.ifft(g).real[np.add.outer(np.arange(count), np.arange(count + 1))]
+    try:
+        starts = rho * np.linalg.eigvals(np.linalg.solve(hankel[:, :-1], hankel[:, 1:]))
+    except np.linalg.LinAlgError:      # singular H0: no starts, the shortfall is noted
+        starts = np.empty(0, dtype=complex)
     found = []
-    for r in roots[np.abs(roots) < rho]:
-        if abs(r - 1.0) < 1e-6:
-            continue  # artifact of the (1-t)^2 factor
-        hit = _newton_refine(series, complex(r), residual_target)
+    for start in starts[starts.imag >= 0.0]:
+        hit = _newton_refine(series, complex(start), residual_target)
         if hit is None or abs(hit.location) >= rho:
             continue
         loc = hit.location
         if abs(loc.imag) <= 1e-10 * (1.0 + abs(loc)):
             loc = complex(loc.real, 0.0)
-            hit = LocatedZero(location=loc, residual=hit.residual, iterations=hit.iterations)
-        if any(abs(loc - other.location) < 1e-7 for other in found):
-            continue  # duplicate (real zeros from conjugate guesses collapse here)
-        found.append(hit)
+        if all(abs(loc - other.location) >= 1e-7 for other in found):
+            found += [replace(hit, location=z)
+                      for z in ((loc,) if loc.imag == 0.0 else (loc, loc.conjugate()))]
     found.sort(key=lambda z: (z.location.real, z.location.imag))
     return tuple(found)
 
@@ -337,15 +339,15 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
                              f"of a zero (sample budget {max_samples})")
                 break
             if min_mod > margin:
-                zeros = ()
-                if locate and winding > 0:
-                    zeros = _locate_zeros(series, rho_try, residual_factor * series.alpha(0),
-                                          guess_degree=min(n, 360))
-                note = "" if offset == 0.0 else f"contour perturbed to rho={rho_try}"
+                zeros = () if not locate or winding == 0 else _locate_zeros(
+                    series, coeffs, rho_try, winding, residual_factor * series.alpha(0))
+                notes = [f"contour perturbed to rho={rho_try}"] if offset else []
+                if locate and len(zeros) != winding:
+                    notes.append(f"located {len(zeros)} of {winding} certified zeros")
                 return ZeroReport(weight_label=label, rho=rho, rho_used=rho_try,
                                   zero_count=winding, located_zeros=zeros, certified=True,
                                   n_terms=n, min_contour_modulus=min_mod, tail=tail,
-                                  contour_samples=samples, diagnostics=note)
+                                  contour_samples=samples, diagnostics="; ".join(notes))
             if best is None or min_mod > best[0]:
                 best = (min_mod, winding, n, tail, samples, rho_try)
             if n >= max_terms:
@@ -353,16 +355,12 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
                              f"at rho={rho_try} within {max_terms} terms")
                 break
             n = min(2 * n, max_terms)
-    if best is not None:
-        min_mod, winding, n, tail, samples, rho_try = best
-        return ZeroReport(weight_label=label, rho=rho, rho_used=rho_try, zero_count=winding,
-                          located_zeros=(), certified=False, n_terms=n,
-                          min_contour_modulus=min_mod, tail=tail, contour_samples=samples,
-                          diagnostics=best_diag or "certification margin not met")
-    return ZeroReport(weight_label=label, rho=rho, rho_used=rho, zero_count=0,
-                      located_zeros=(), certified=False, n_terms=0,
-                      min_contour_modulus=0.0, tail=math.inf, contour_samples=0,
-                      diagnostics=best_diag or "no contour attempt succeeded")
+    min_mod, winding, n, tail, samples, rho_used = best or (0.0, 0, 0, math.inf, 0, rho)
+    return ZeroReport(weight_label=label, rho=rho, rho_used=rho_used, zero_count=winding,
+                      located_zeros=(), certified=False, n_terms=n,
+                      min_contour_modulus=min_mod, tail=tail, contour_samples=samples,
+                      diagnostics=best_diag or ("certification margin not met" if best
+                                                else "no contour attempt succeeded"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +389,11 @@ def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
 
 
 def worker_count(n_jobs: int) -> int:
+    """Sweep threads: BERGKERN_THREADS (a positive integer) or 4, capped by CPUs and jobs."""
     env = os.environ.get("BERGKERN_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1, n_jobs))
+    if env and (not env.isdecimal() or int(env) < 1):
+        raise ValueError(f"BERGKERN_THREADS must be a positive integer, got {env!r}")
+    return max(1, min(int(env) if env else 4, os.cpu_count() or 1, n_jobs))
 
 
 def sweep_step_weights(plateau_values, split_values, rho: float = 0.95):

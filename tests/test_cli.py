@@ -48,6 +48,25 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["find-zeros", "--step", "18,0.25", "--rho", "1.5"], {}),
+    (["rouche", "--step", "18,0.25", "--eps", "2"], {}),
+    (["schur", "--step", "18,0.25", "--eps", "0.5"], {}),
+    (["lp-probe", "--step", "18,0.25", "--p", "0.5"], {}),
+    (["kernel-eval", "--step", "18,0.25", "--z", "1.5", "--w", "0"], {}),
+    (["moments", "--step", "18,0.25", "-N", "-3"], {}),
+    (["coeff-check", "--step", "18,0.25", "-N", "5"], {}),
+    (["sweep", "--A", "1:2:1", "--x", "0.3:0.3:0.1"], {"BERGKERN_THREADS": "abc"}),
+], ids=["find-zeros", "rouche", "schur", "lp-probe", "kernel-eval", "moments", "coeff-check",
+        "sweep-threads"])
+def test_bad_input_exits_2_with_message(argv, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------

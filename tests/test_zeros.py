@@ -1,16 +1,18 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWeight,
                       auto_rouche_epsilon, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
-                      sweep_step_weights)
+                      sweep_step_weights, zeros)
 from bergkern.weights import moment_closed_form_sampled, moment_closed_form_step
-from bergkern.zeros import min_affine_modulus_on_circle
+from bergkern.zeros import min_affine_modulus_on_circle, worker_count
 
 PI = math.pi
 _polyval = np.polynomial.polynomial.polyval
@@ -56,6 +58,12 @@ def test_second_difference_brute_force_oracle(step18, step18_series):
     brute = float(sum(abs(a[k] - 2 * a[k - 1] + a[k - 2]) for k in range(2, 451))) / PI
     sd = second_difference_bound(step18_series, 400)
     assert sd.s_bound == pytest.approx(brute, abs=1e-12)
+
+
+def test_exact_sign_claim_covers_the_whole_cutoff(step18_series):
+    assert second_difference_bound(step18_series, 400).sign_certified
+    # exact signs are checked only up to n = 600; past it the claim is dropped
+    assert not second_difference_bound(step18_series, 1000).sign_certified
 
 
 def test_second_difference_rejects_tiny_cutoff(step18_series):
@@ -142,8 +150,57 @@ def test_winding_counts_across_radii(step18_series):
     assert len(rep_large.located_zeros) == 1
     zero = rep_large.located_zeros[0]
     assert zero.location.imag == 0.0          # real zero reported once
-    assert abs(zero.location - STEP_ZERO) <= 1e-8
+    assert abs(zero.location - STEP_ZERO) <= 1e-12
     assert zero.residual <= 1e-9 * step18_series.alpha(0)
+
+
+@pytest.mark.parametrize("weight", [
+    StepWeight.from_plateau(18.0, 0.25), StepWeight.from_plateau(12.0, 0.6),
+    StepWeight.from_plateau(25.0, 0.8), DiracAugmentedWeight(1.5),
+    DiracAugmentedWeight(10.0), DiracAugmentedWeight(100.0)], ids=lambda w: w.label())
+def test_locates_every_counted_zero(weight):
+    rep = count_zeros_winding(KernelSeries(weight), 0.99)
+    assert rep.certified and rep.zero_count >= 1
+    assert len(rep.located_zeros) == rep.zero_count
+    assert rep.diagnostics == ""
+
+
+def test_located_plateau_zero_matches_oracle(step18_series):
+    (zero,) = count_zeros_winding(step18_series, 0.99).located_zeros
+    assert zero.location.imag == 0.0
+    assert abs(zero.location.real - STEP_ZERO) <= 1e-12
+
+
+@pytest.mark.parametrize("mass", [1.5, 10.0, 100.0])
+def test_located_point_mass_zero_matches_closed_form(mass):
+    (zero,) = count_zeros_winding(KernelSeries(DiracAugmentedWeight(mass)), 0.99).located_zeros
+    assert abs(zero.location - (1.0 - math.sqrt(1.0 + PI / mass))) <= 1e-12
+
+
+def test_located_conjugate_pair_is_exact():
+    lower, upper = count_zeros_winding(
+        KernelSeries(StepWeight.from_plateau(12.0, 0.6)), 0.99).located_zeros
+    assert upper.location.imag > 0.0
+    assert upper.location == lower.location.conjugate()
+    assert upper.residual == lower.residual
+
+
+def test_locate_shortfall_is_reported(step18_series, monkeypatch):
+    monkeypatch.setattr(zeros, "_newton_refine", lambda *args, **kwargs: None)
+    rep = count_zeros_winding(step18_series, 0.7)
+    assert rep.certified and rep.zero_count == 1
+    assert rep.located_zeros == ()
+    assert rep.diagnostics == "located 0 of 1 certified zeros"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.1, max_value=40.0), st.floats(min_value=0.05, max_value=0.95))
+def test_plateau_located_count_equals_certified_count(a, x):
+    series = KernelSeries(StepWeight.from_plateau(a, x))
+    rep = count_zeros_winding(series, 0.99)
+    assert rep.certified
+    assert len(rep.located_zeros) == rep.zero_count
+    assert all(z.residual <= 1e-9 * series.alpha(0) for z in rep.located_zeros)
 
 
 def test_brute_force_minimum_on_small_disc(step18_series):
@@ -188,7 +245,7 @@ def test_scale_invariance_of_verdicts(step18_series):
         assert not rouche_certificate(scaled, 0.05).holds
         rep = count_zeros_winding(scaled, 0.7)
         assert rep.certified and rep.zero_count == 1
-        assert abs(rep.located_zeros[0].location - STEP_ZERO) <= 1e-8
+        assert abs(rep.located_zeros[0].location - STEP_ZERO) <= 1e-12
 
 
 def test_winding_contour_through_zero_still_resolves(step18_series):
@@ -248,6 +305,17 @@ def test_sweep_respects_thread_env(monkeypatch):
     monkeypatch.setenv("BERGKERN_THREADS", "1")
     cells = sweep_step_weights([1.0], [0.3, 0.6], rho=0.5)
     assert [c.split for c in cells] == [0.3, 0.6]
+
+
+def test_worker_count_clamps_and_validates_env(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("BERGKERN_THREADS", "100000")
+    assert worker_count(3) == min(3, cpus)
+    assert worker_count(10 ** 6) == cpus
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("BERGKERN_THREADS", bad)
+        with pytest.raises(ValueError):
+            worker_count(3)
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +403,7 @@ def test_dirac_series_winding_cross_check():
     rep = count_zeros_winding(KernelSeries(DiracAugmentedWeight(10.0)), 0.5)
     assert rep.certified and rep.zero_count == 1
     expected = 1.0 - math.sqrt(1.0 + PI / 10.0)
-    assert abs(rep.located_zeros[0].location - expected) <= 1e-10
+    assert abs(rep.located_zeros[0].location - expected) <= 1e-12
     rep_none = count_zeros_winding(KernelSeries(DiracAugmentedWeight(1.0)), 0.9, locate=False)
     assert rep_none.certified and rep_none.zero_count == 0
 
