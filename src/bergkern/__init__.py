@@ -17,7 +17,7 @@ from .projector import (DiscreteProjector, ProbeResult, SplitWitness, build_proj
                         cs_split_witness, default_family, lp_norm, lp_probe, project)
 from .weights import (ConstantWeight, DiracAugmentedWeight, MomentEntry, MomentTable,
                       QuadratureError, RadialWeight, SampledWeight, StepWeight, WeightError,
-                      load_weight, moment_closed_form_step, moment_quadrature, moment_table,
+                      alphas_closed_form, load_weight, moment_quadrature, moment_table,
                       weight_from_json, weight_to_json)
 from .zeros import (DiracZeroResult, InflationCheck, RoucheCertificate, SecondDifferenceSummary,
                     SweepCell, ZeroReport, auto_rouche_epsilon, count_zeros_winding,
@@ -29,7 +29,7 @@ __all__ = [
     "__version__",
     "ConstantWeight", "StepWeight", "SampledWeight", "DiracAugmentedWeight", "RadialWeight",
     "MomentEntry", "MomentTable", "WeightError", "QuadratureError",
-    "moment_closed_form_step", "moment_quadrature", "moment_table",
+    "alphas_closed_form", "moment_quadrature", "moment_table",
     "weight_from_json", "weight_to_json", "load_weight",
     "KernelSeries", "KernelValue", "ToleranceError", "tail_bound", "kernel_eval", "diagonal_poly",
     "SecondDifferenceSummary", "RoucheCertificate", "ZeroReport", "SweepCell",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import DiracAugmentedWeight, alphas_closed_form
+from .weights import alphas_closed_form
 
 
 class ToleranceError(RuntimeError):
@@ -70,24 +70,38 @@ class KernelSeries:
 
     The instance is append-only: ``alphas(n)`` may extend the cached prefix
     but never mutates existing entries, so concurrent readers are safe.
+
+    Given explicit ``coeffs`` (alpha_0..alpha_M before ``scale``), the series
+    holds exactly those M+1 terms and ``explicit`` is True: they are not the
+    weight's own coefficients, so no exact fact about the weight applies.
     """
 
-    def __init__(self, weight, initial_terms: int = 64, scale: float = 1.0):
+    def __init__(self, weight, initial_terms: int = 64, scale: float = 1.0, coeffs=None):
         if scale <= 0:
             raise ValueError("scale factor must be positive")
         self.weight = weight
-        self._scale = scale
-        self._alphas = scale * alphas_closed_form(weight, initial_terms)
+        self.scale = scale
+        self._given = None if coeffs is None else np.asarray(coeffs, dtype=float)
+        self._alphas = scale * (alphas_closed_form(weight, initial_terms) if coeffs is None
+                                else self._given)
         # Effective constant for the tail majorant: sup alpha_n*pi/(n+1).
-        # For function weights the comparability constant works; the
-        # point-mass weight only lowers alpha_0, so c=1 is valid there.
-        base_c = 1.0 if isinstance(weight, DiracAugmentedWeight) else weight.comparability_constant
-        self.tail_constant = scale * base_c
+        self.tail_constant = scale * weight.alpha_bound
+        if self.explicit:
+            self.tail_constant = max(self.tail_constant, float(np.max(
+                self._alphas * math.pi / (np.arange(len(self._alphas)) + 1.0))))
+
+    @property
+    def explicit(self) -> bool:
+        """True when the coefficients were given rather than taken from the weight."""
+        return self._given is not None
 
     def alphas(self, n_max: int) -> np.ndarray:
         """Coefficients alpha_0..alpha_n_max (extending the cache if needed)."""
         if n_max >= len(self._alphas):
-            self._alphas = self._scale * alphas_closed_form(
+            if self.explicit:
+                raise ValueError(f"series with {len(self._alphas)} explicit coefficients "
+                                 f"has no alpha_{n_max}")
+            self._alphas = self.scale * alphas_closed_form(
                 self.weight, max(n_max, 2 * len(self._alphas)))
         return self._alphas[: n_max + 1]
 
@@ -101,7 +115,7 @@ class KernelSeries:
         """Series with all coefficients multiplied by factor > 0 (used by the
         scale-invariance checks; zero sets and verdicts must not move)."""
         return KernelSeries(self.weight, initial_terms=max(len(self._alphas) - 1, 2),
-                            scale=self._scale * factor)
+                            scale=self.scale * factor, coeffs=self._given)
 
 
 @dataclass(frozen=True)

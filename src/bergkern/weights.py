@@ -22,6 +22,17 @@ Supported weight shapes:
 * ``DiracAugmentedWeight(mass)`` -- Lebesgue weight 1 plus a point mass at
   the origin; a singular measure, so it bypasses quadrature entirely and
   only the n=0 moment is modified.
+
+Each shape carries its own closed form, so nothing downstream dispatches
+on the type:
+
+* ``alphas(n_max)`` -- alpha_0..alpha_n_max, vectorised over n;
+* ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
+  majorant (the comparability constant; 1 for the point mass);
+* ``outer_tail()`` -- (v_out, G, q) with alpha_n = (n+1)/(pi*(v_out + g_n))
+  and |g_n| <= G*q^(n+1): every shape is constant (= v_out) on an outer
+  annulus [r_hat, 1), so g_n is geometrically small (q = r_hat^2);
+* ``to_json()`` -- the definition-file object read by ``weight_from_json``.
 """
 
 from __future__ import annotations
@@ -59,8 +70,21 @@ class QuadratureError(RuntimeError):
 # weight variants
 # ---------------------------------------------------------------------------
 
+def _indices(n_max: int) -> np.ndarray:
+    return np.arange(n_max + 1, dtype=float)
+
+
+class _FunctionWeight:
+    """A weight that is a function comparable to 1."""
+
+    @property
+    def alpha_bound(self) -> float:
+        # the moment sandwich gives alpha_n <= C*(n+1)/pi
+        return self.comparability_constant
+
+
 @dataclass(frozen=True)
-class ConstantWeight:
+class ConstantWeight(_FunctionWeight):
     value: float = 1.0
 
     def __post_init__(self):
@@ -81,9 +105,18 @@ class ConstantWeight:
     def label(self) -> str:
         return f"constant({self.value:g})"
 
+    def alphas(self, n_max: int) -> np.ndarray:
+        return (_indices(n_max) + 1.0) / (math.pi * self.value)
+
+    def outer_tail(self):
+        return self.value, 0.0, 0.0
+
+    def to_json(self) -> dict:
+        return {"type": "constant", "value": self.value}
+
 
 @dataclass(frozen=True)
-class StepWeight:
+class StepWeight(_FunctionWeight):
     """Piecewise-constant weight: value ``values[i]`` on (breakpoints[i-1], breakpoints[i]].
 
     The last breakpoint must be 1 (the value *at* r=1 is irrelevant, the
@@ -128,9 +161,29 @@ class StepWeight:
         segs = ",".join(f"({b:g},{v:g})" for b, v in zip(self.breakpoints, self.values))
         return f"step[{segs}]"
 
+    def alphas(self, n_max: int) -> np.ndarray:
+        """mu_n = (pi/(n+1)) * sum_i v_i * (r_i^(2n+2) - r_{i-1}^(2n+2)),  r_{-1} = 0."""
+        ns = _indices(n_max)
+        bps = np.array(self.breakpoints)[:, None]
+        vals = np.array(self.values)[:, None]
+        prev = np.concatenate([[0.0], self.breakpoints[:-1]])[:, None]
+        powers = 2.0 * ns + 2.0
+        mus = math.pi / (ns + 1.0) * np.sum(vals * (bps ** powers - prev ** powers), axis=0)
+        return 1.0 / mus
+
+    def outer_tail(self):
+        if len(self.values) == 1:
+            return self.values[0], 0.0, 0.0
+        jumps = sum(abs(v1 - v2) for v1, v2 in zip(self.values, self.values[1:]))
+        return self.values[-1], jumps, self.breakpoints[-2] ** 2
+
+    def to_json(self) -> dict:
+        segments = [[b, v] for b, v in zip(self.breakpoints, self.values)]
+        return {"type": "step", "segments": segments}
+
 
 @dataclass(frozen=True)
-class SampledWeight:
+class SampledWeight(_FunctionWeight):
     """Piecewise-linear interpolation through (radii[i], values[i]).
 
     Constant extrapolation below the first and above the last sample; the
@@ -170,6 +223,36 @@ class SampledWeight:
     def label(self) -> str:
         return f"sampled[{len(self.radii)} pts, r<={self.radii[-1]:g}]"
 
+    def alphas(self, n_max: int) -> np.ndarray:
+        """Exact moments of the interpolant, one knot interval at a time.
+
+        On [a, b] lam(r) = c0 + c1*r, so with p = 2n+2, q = 2n+3
+        int_a^b r^(2n+1) lam dr = c0*(b^p - a^p)/p + c1*(b^q - a^q)/q,
+        plus the flat pieces [0, r_0] and [r_last, 1].  Each step is
+        vectorised over n; memory stays O(n_max) whatever the knot count.
+        """
+        ns = _indices(n_max)
+        p, q = 2.0 * ns + 2.0, 2.0 * ns + 3.0
+        rr, vv = self.radii, self.values
+        a_p, a_q = rr[0] ** p, rr[0] ** q
+        below = vv[0] * a_p / p
+        inner = np.zeros_like(ns)
+        for a, b, va, vb in zip(rr, rr[1:], vv, vv[1:]):
+            c1 = (vb - va) / (b - a)
+            c0 = va - c1 * a
+            b_p, b_q = b ** p, b ** q
+            inner += c0 * (b_p - a_p) / p + c1 * (b_q - a_q) / q
+            a_p, a_q = b_p, b_q
+        above = vv[-1] * (1.0 - a_p) / p
+        return 1.0 / (TWO_PI * (below + inner + above))
+
+    def outer_tail(self):
+        v_out = self.values[-1]
+        return v_out, v_out + max(self.values), self.radii[-1] ** 2
+
+    def to_json(self) -> dict:
+        return {"type": "sampled", "radii": list(self.radii), "values": list(self.values)}
+
 
 @dataclass(frozen=True)
 class DiracAugmentedWeight:
@@ -187,6 +270,23 @@ class DiracAugmentedWeight:
 
     def label(self) -> str:
         return f"dirac(1+{self.mass:g}*delta0)"
+
+    @property
+    def alpha_bound(self) -> float:
+        # the mass only lowers alpha_0 below 1/pi; every other alpha_n is (n+1)/pi
+        return 1.0
+
+    def alphas(self, n_max: int) -> np.ndarray:
+        al = (_indices(n_max) + 1.0) / math.pi
+        al[0] = 1.0 / (math.pi + self.mass)
+        return al
+
+    def outer_tail(self):
+        # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero.
+        return 1.0, self.mass / math.pi, 1e-300
+
+    def to_json(self) -> dict:
+        return {"type": "dirac", "mass": self.mass}
 
 
 RadialWeight = Union[ConstantWeight, StepWeight, SampledWeight, DiracAugmentedWeight]
@@ -239,25 +339,8 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# exact rationals
 # ---------------------------------------------------------------------------
-
-def moment_closed_form_step(weight, n: int):
-    """Exact moment of a piecewise-constant weight.
-
-    mu_n = (pi/(n+1)) * sum_i v_i * (r_i^(2n+2) - r_{i-1}^(2n+2)),  r_{-1} = 0.
-    """
-    if n < 0:
-        raise ValueError(f"moment index must be >= 0, got {n}")
-    w = as_step(weight)
-    acc = 0.0
-    prev = 0.0
-    for b, v in zip(w.breakpoints, w.values):
-        acc += v * (b ** (2 * n + 2) - prev ** (2 * n + 2))
-        prev = b
-    mu = math.pi / (n + 1) * acc
-    return mu, 1.0 / mu
-
 
 def step_alpha_pi_fraction(weight, n: int) -> Fraction:
     """alpha_n * pi as an exact rational, for steps with rational data.
@@ -276,36 +359,6 @@ def step_alpha_pi_fraction(weight, n: int) -> Fraction:
         acc += Fraction(v).limit_denominator(10**12) * (fb ** (2 * n + 2) - prev ** (2 * n + 2))
         prev = fb
     return (n + 1) / acc  # alpha_n * pi = (n+1) / (acc)
-
-
-def moment_closed_form_sampled(weight: SampledWeight, n: int):
-    """Exact moment of a piecewise-linear weight.
-
-    On each knot interval lam(r) = c0 + c1*r, so
-    int r^(2n+1) lam dr = c0*(b^(2n+2)-a^(2n+2))/(2n+2) + c1*(b^(2n+3)-a^(2n+3))/(2n+3),
-    plus constant pieces [0, r_0] and [r_last, 1].
-    """
-    if n < 0:
-        raise ValueError(f"moment index must be >= 0, got {n}")
-    rr = np.array(weight.radii)
-    vv = np.array(weight.values)
-    p, q = 2 * n + 2, 2 * n + 3
-    total = vv[0] * rr[0] ** p / p                       # flat below first knot
-    a, b = rr[:-1], rr[1:]
-    c1 = (vv[1:] - vv[:-1]) / (b - a)
-    c0 = vv[:-1] - c1 * a
-    total += float(np.sum(c0 * (b ** p - a ** p) / p + c1 * (b ** q - a ** q) / q))
-    total += vv[-1] * (1.0 - rr[-1] ** p) / p            # flat out to r=1
-    mu = TWO_PI * total
-    return mu, 1.0 / mu
-
-
-def moment_closed_form_dirac(weight: DiracAugmentedWeight, n: int):
-    """Moments of 1 + mass*delta_0: only the n=0 norm picks up the mass."""
-    if n < 0:
-        raise ValueError(f"moment index must be >= 0, got {n}")
-    mu = math.pi / (n + 1) + (weight.mass if n == 0 else 0.0)
-    return mu, 1.0 / mu
 
 
 # ---------------------------------------------------------------------------
@@ -385,80 +438,30 @@ def moment_quadrature(weight, n: int, tol: float = 1e-12, max_panels: int = 4000
 # table construction
 # ---------------------------------------------------------------------------
 
-def moment_closed_form(weight, n: int):
-    """Dispatch to the exact moment formula for the weight shape."""
-    if isinstance(weight, (ConstantWeight, StepWeight)):
-        return moment_closed_form_step(weight, n)
-    if isinstance(weight, SampledWeight):
-        return moment_closed_form_sampled(weight, n)
-    if isinstance(weight, DiracAugmentedWeight):
-        return moment_closed_form_dirac(weight, n)
-    raise WeightError(f"unsupported weight: {weight!r}")
-
-
 def moment_table(weight, n_max: int, tol: float = 1e-12, method: str = "auto") -> MomentTable:
     """Moments and coefficients for n = 0..n_max.
 
     method="auto" uses the exact closed form (every supported shape has
-    one); method="quadrature" forces the numerical path, which exists for
-    cross-checking and for weight shapes without a closed form.
+    one, and mu_n = 1/alpha_n); method="quadrature" forces the numerical
+    path, which exists for cross-checking and for weight shapes without a
+    closed form.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if method != "quadrature":
+        return MomentTable(weight=weight, entries=tuple(
+            MomentEntry(n, 1.0 / alpha, alpha, "closed_form", 5e-16)
+            for n, alpha in enumerate(alphas_closed_form(weight, n_max).tolist())))
     entries = []
     for n in range(n_max + 1):
-        if method == "quadrature":
-            mu, alpha, err = moment_quadrature(weight, n, tol=tol)
-            entries.append(MomentEntry(n, mu, alpha, "quadrature", err))
-        else:
-            mu, alpha = moment_closed_form(weight, n)
-            entries.append(MomentEntry(n, mu, alpha, "closed_form", 5e-16))
+        mu, alpha, err = moment_quadrature(weight, n, tol=tol)
+        entries.append(MomentEntry(n, mu, alpha, "quadrature", err))
     return MomentTable(weight=weight, entries=tuple(entries))
 
 
 def alphas_closed_form(weight, n_max: int) -> np.ndarray:
-    """Vectorized alpha_0..alpha_n_max via the closed forms."""
-    ns = np.arange(n_max + 1, dtype=float)
-    if isinstance(weight, ConstantWeight):
-        return (ns + 1.0) / (math.pi * weight.value)
-    if isinstance(weight, DiracAugmentedWeight):
-        al = (ns + 1.0) / math.pi
-        al[0] = 1.0 / (math.pi + weight.mass)
-        return al
-    if isinstance(weight, StepWeight):
-        bps = np.array(weight.breakpoints)[:, None]
-        vals = np.array(weight.values)[:, None]
-        prev = np.concatenate([[0.0], weight.breakpoints[:-1]])[:, None]
-        powers = 2.0 * ns + 2.0
-        mus = math.pi / (ns + 1.0) * np.sum(vals * (bps ** powers - prev ** powers), axis=0)
-        return 1.0 / mus
-    if isinstance(weight, SampledWeight):
-        return np.array([moment_closed_form_sampled(weight, n)[1] for n in range(n_max + 1)])
-    raise WeightError(f"unsupported weight: {weight!r}")
-
-
-def outer_tail_parameters(weight):
-    """(v_out, G, q): alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1).
-
-    Every supported shape is constant (= v_out) on an outer annulus
-    [r_hat, 1), so (n+1)*mu_n/pi = v_out + g_n with g_n geometrically small
-    (q = r_hat^2).  This powers the rigorous remainder bounds on second
-    differences of the coefficients.
-    """
-    if isinstance(weight, ConstantWeight):
-        return weight.value, 0.0, 0.0
-    if isinstance(weight, StepWeight):
-        if len(weight.values) == 1:
-            return weight.values[0], 0.0, 0.0
-        jumps = sum(abs(v1 - v2) for v1, v2 in zip(weight.values, weight.values[1:]))
-        return weight.values[-1], jumps, weight.breakpoints[-2] ** 2
-    if isinstance(weight, SampledWeight):
-        v_out = weight.values[-1]
-        return v_out, v_out + max(weight.values), weight.radii[-1] ** 2
-    if isinstance(weight, DiracAugmentedWeight):
-        # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero.
-        return 1.0, weight.mass / math.pi, 1e-300
-    raise WeightError(f"unsupported weight: {weight!r}")
+    """alpha_0..alpha_n_max from the weight's own closed form."""
+    return weight.alphas(n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +469,7 @@ def outer_tail_parameters(weight):
 # ---------------------------------------------------------------------------
 
 def weight_to_json(weight) -> dict:
-    if isinstance(weight, ConstantWeight):
-        return {"type": "constant", "value": weight.value}
-    if isinstance(weight, StepWeight):
-        return {"type": "step", "segments": [[b, v] for b, v in zip(weight.breakpoints, weight.values)]}
-    if isinstance(weight, SampledWeight):
-        return {"type": "sampled", "radii": list(weight.radii), "values": list(weight.values)}
-    if isinstance(weight, DiracAugmentedWeight):
-        return {"type": "dirac", "mass": weight.mass}
-    raise WeightError(f"unsupported weight: {weight!r}")
+    return weight.to_json()
 
 
 def weight_from_json(obj: dict):

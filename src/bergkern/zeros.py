@@ -35,7 +35,7 @@ from scipy.integrate import quad
 
 from .kernel import KernelSeries, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
 from .weights import (ConstantWeight, DiracAugmentedWeight, SampledWeight, StepWeight,
-                      QuadratureError, as_step, outer_tail_parameters, step_alpha_pi_fraction)
+                      QuadratureError, as_step, step_alpha_pi_fraction)
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -73,14 +73,15 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
 
     The remainder past n_cutoff is bounded without any sign assumption:
     with v_out the weight's outer value, delta_n = alpha_n - (n+1)/(pi*v_out)
-    decays geometrically (see ``outer_tail_parameters``) and second
+    decays geometrically (see the weight's ``outer_tail``) and second
     differences of the linear part vanish, so
         sum_{k>N} |d2_k| <= 4 * sum_{m>=N-1} |delta_m|,
     an arithmetico-geometric series summed in closed form.
 
     When the computed range is one-signed (negative), the partial sum
     telescopes to (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), which is also
-    the more accurate value to report.
+    the more accurate value to report.  The exact sign check runs only on
+    the weight's own coefficients, never on a series given explicit ones.
     """
     if n_cutoff < 2:
         raise ValueError(f"need n_cutoff >= 2, got {n_cutoff}")
@@ -92,15 +93,13 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
     negative_float = bool(np.all(d2 < noise))
     sign_certified = False
     all_negative = telescoping_valid = negative_float
-    if (negative_float and isinstance(series, KernelSeries)
+    if (negative_float and not series.explicit
             and isinstance(series.weight, (ConstantWeight, StepWeight))):
         all_negative, telescoping_valid = _second_difference_signs_exact(
             as_step(series.weight), min(n_cutoff, 600))
         sign_certified = n_cutoff <= 600    # past 600 the signs are float-only
 
-    v_out, big_g, q = outer_tail_parameters(series.weight)
-    scale = series.tail_constant / (1.0 if isinstance(series.weight, DiracAugmentedWeight)
-                                    else series.weight.comparability_constant)
+    v_out, big_g, q = series.weight.outer_tail()
     c = series.tail_constant
     if q > 0.0 and big_g > 0.0:
         # 4*K*sum_{m>=N-1}(m+1)q^(m+1) with K = C*G/(pi*v_out)
@@ -121,7 +120,7 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
         s_bound=partial + float(remainder),
         all_negative=all_negative,
         sign_certified=sign_certified,
-        first_difference_limit=scale / (math.pi * v_out),
+        first_difference_limit=series.scale / (math.pi * v_out),
     )
 
 
@@ -193,7 +192,7 @@ def auto_rouche_epsilon(series: KernelSeries, eps_grid=None, n_cutoff: int = 400
 class LocatedZero:
     location: complex
     residual: float          # |F| at the zero plus the truncation tail bound
-    iterations: int
+    iterations: int          # Newton steps taken from the start
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
         fv = eval_diagonal(series, t, tol=min(residual_target * 1e-3, 1e-13))
         total = abs(fv.value) + fv.err_bound
         if total <= residual_target:
-            return LocatedZero(location=t, residual=total, iterations=it)
+            return LocatedZero(location=t, residual=total, iterations=it - 1)
         a = series.alphas(fv.n_used)
         deriv = _polyval(t, (a[1:] * np.arange(1, fv.n_used + 1)).astype(complex))
         if deriv == 0:
@@ -312,7 +311,7 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    label = getattr(series.weight, "label", lambda: str(series.weight))()
+    label = series.weight.label()
     best_diag = ""
     best = None
     for offset in (0.0, 1e-3, -1e-3, 2e-3, -2e-3):
@@ -531,8 +530,6 @@ def reinhardt_monomial_norm(weight, m: int, j: int, quad_tol: float = 1e-12) -> 
     if isinstance(weight, DiracAugmentedWeight):
         raise ValueError("the inflated domain needs a function weight")
     pts = [b for b in weight.breakpoints if 0.0 < b < 1.0]
-    if isinstance(weight, SampledWeight):
-        pts = sorted({r for r in weight.radii if 0.0 < r < 1.0})
 
     def integrand(r):
         return r ** (2 * m + 1) * float(weight.evaluate(r)) ** (j + 1)

@@ -4,7 +4,9 @@ The criterion implementations live in bergkern.acceptance (shared with the
 ``repro-all`` subcommand); every tolerance is pinned there.
 """
 
-from bergkern import acceptance
+import pytest
+
+from bergkern import ProbeResult, acceptance
 
 
 def _check(result):
@@ -65,3 +67,19 @@ def test_sensitivity_row_flips_certificate():
     flip = next(r for r in rows if r.cid == "perturb")
     print(flip.line())
     assert flip.values["holds"] is False
+
+
+@pytest.mark.parametrize("refined_bump, passes", [(0.5, True), (0.55, False)])
+def test_lp_probe_criterion_sees_drift_of_one_function(monkeypatch, refined_bump, passes):
+    # the MAX row is 1 at both resolutions and the annihilated row drifts by
+    # roundoff only; a 10 % drift of the bump alone must fail the criterion
+    def fake_probe(weight, ps, n_max, **kwargs):
+        base = n_max == 40
+        rows = (("z^0", 1.0), ("conj(z)^1", 1e-16 if base else 7e-16),
+                ("bump(0.3,0.1)", 0.5 if base else refined_bump))
+        return [ProbeResult("stub", p, n_max, 1.0, rows) for p in ps]
+
+    monkeypatch.setattr(acceptance, "lp_probe", fake_probe)
+    result = acceptance.criterion_lp_probe()
+    assert result.passed is passes
+    assert result.values["drifts"][2.0] == pytest.approx(2.0 * refined_bump - 1.0)

@@ -179,3 +179,21 @@ def test_scaled_series_scales_everything(step18_series):
         7.25 * step18_series.tail_bound(0.5, 10), rel=1e-15)
     with pytest.raises(ValueError):
         step18_series.scaled(-1.0)
+
+
+def test_explicit_coefficients_have_a_fixed_budget(step18_series):
+    a = step18_series.alphas(100).copy()
+    a[0] *= 40.0                          # alpha_0*pi/1 now exceeds C = 18
+    series = KernelSeries(step18_series.weight, coeffs=a)
+    assert series.explicit and not step18_series.explicit
+    assert np.array_equal(series.alphas(100), a)
+    assert series.tail_constant == a[0] * PI
+    with pytest.raises(ValueError):
+        series.alphas(101)
+    scaled = series.scaled(2.0)
+    assert scaled.explicit and scaled.alpha(0) == 2.0 * a[0]
+
+
+def test_explicit_coefficients_keep_the_weight_bound(step18_series):
+    series = KernelSeries(step18_series.weight, coeffs=step18_series.alphas(50))
+    assert series.tail_constant == step18_series.tail_constant == 18.0

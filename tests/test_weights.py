@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, SampledWeight,
                       StepWeight, WeightError, load_weight, moment_quadrature, moment_table,
                       weight_from_json, weight_to_json)
-from bergkern.weights import (alphas_closed_form, moment_closed_form_dirac,
-                              moment_closed_form_sampled, moment_closed_form_step,
-                              step_alpha_pi_fraction)
+from bergkern.weights import alphas_closed_form, step_alpha_pi_fraction
 from bergkern.zeros import mollify_weight
 
 PI = math.pi
@@ -22,8 +20,7 @@ PI = math.pi
 # --------------------------------------------------------------------------
 
 def test_plateau_alpha0_alpha1(step18):
-    _, a0 = moment_closed_form_step(step18, 0)
-    _, a1 = moment_closed_form_step(step18, 1)
+    a0, a1 = step18.alphas(1)
     assert a0 == pytest.approx(16.0 / (33.0 * PI), rel=1e-15)
     assert a1 == pytest.approx(512.0 / (273.0 * PI), rel=1e-15)
 
@@ -34,8 +31,7 @@ def test_plateau_alpha_pi_fractions_exact(step18):
 
 
 def test_constant_weight_alpha_is_arithmetic():
-    for n in range(9):
-        _, alpha = moment_closed_form_step(ConstantWeight(1.0), n)
+    for n, alpha in enumerate(ConstantWeight(1.0).alphas(8)):
         assert alpha == pytest.approx((n + 1) / PI, rel=1e-15)
 
 
@@ -47,7 +43,9 @@ def test_constant_scaling():
 
 def test_negative_index_rejected(step18):
     with pytest.raises(ValueError):
-        moment_closed_form_step(step18, -1)
+        moment_table(step18, -1)
+    with pytest.raises(ValueError):
+        step_alpha_pi_fraction(step18, -1)
     with pytest.raises(ValueError):
         moment_quadrature(step18, -2)
 
@@ -57,8 +55,9 @@ def test_negative_index_rejected(step18):
 # --------------------------------------------------------------------------
 
 def test_quadrature_matches_closed_form_on_plateau(step18):
+    mus = 1.0 / step18.alphas(57)
     for n in (0, 1, 7, 57):
-        mu_c, _ = moment_closed_form_step(step18, n)
+        mu_c = mus[n]
         mu_q, alpha_q, err = moment_quadrature(step18, n, tol=1e-12)
         assert abs(mu_q - mu_c) / mu_c <= 1e-12
         assert alpha_q * mu_q == pytest.approx(1.0, abs=10 * err)
@@ -71,7 +70,7 @@ def test_quadrature_constant_n5_exact_value():
 
 
 def test_quadrature_large_index_concentrated_near_one(step18):
-    mu_c, _ = moment_closed_form_step(step18, 900)
+    mu_c = 1.0 / step18.alphas(900)[900]
     mu_q, _, err = moment_quadrature(step18, 900, tol=1e-12)
     assert abs(mu_q - mu_c) / mu_c <= 1e-11
     assert err <= 1e-12
@@ -97,7 +96,7 @@ def test_quadrature_rejects_dirac():
 )
 def test_closed_form_vs_quadrature_random_plateaus(a, x, n):
     w = StepWeight.from_plateau(a, x)
-    mu_c, _ = moment_closed_form_step(w, n)
+    mu_c = 1.0 / w.alphas(n)[n]
     mu_q, _, _ = moment_quadrature(w, n, tol=1e-12)
     assert abs(mu_q - mu_c) / mu_c <= 1e-12
 
@@ -139,7 +138,19 @@ def test_sandwich_and_monotonicity_random_plateaus(a, x):
 def test_alphas_closed_form_matches_entrywise(step18):
     al = alphas_closed_form(step18, 30)
     for n in (0, 3, 17, 30):
-        assert al[n] == pytest.approx(moment_closed_form_step(step18, n)[1], rel=1e-14)
+        assert al[n] == pytest.approx(float(step_alpha_pi_fraction(step18, n)) / PI, rel=1e-14)
+
+
+@pytest.mark.parametrize("weight", [
+    ConstantWeight(2.5),
+    StepWeight(breakpoints=(0.2, 0.6, 1.0), values=(18.0, 0.5, 1.0)),
+    mollify_weight(StepWeight.from_plateau(18.0, 0.25), 1e-3),
+    DiracAugmentedWeight(10.0),
+])
+def test_alphas_prefix_stable(weight):
+    # KernelSeries grows its cache by recomputing a longer prefix
+    for m in (0, 1, 63, 500):
+        assert np.array_equal(weight.alphas(4000)[:m + 1], weight.alphas(m))
 
 
 # --------------------------------------------------------------------------
@@ -148,17 +159,34 @@ def test_alphas_closed_form_matches_entrywise(step18):
 
 def test_sampled_closed_form_vs_quadrature(step18):
     smooth = mollify_weight(step18, 1e-3)
+    mus = 1.0 / smooth.alphas(11)
     for n in (0, 2, 11):
-        mu_c, _ = moment_closed_form_sampled(smooth, n)
+        mu_c = mus[n]
         mu_q, _, _ = moment_quadrature(smooth, n, tol=1e-12)
         assert abs(mu_q - mu_c) / mu_c <= 1e-11
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    first=st.floats(min_value=0.0, max_value=0.5),
+    gaps=st.lists(st.floats(min_value=0.01, max_value=0.09), min_size=1, max_size=5),
+    values=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=6, max_size=6),
+    n=st.integers(min_value=0, max_value=2000),
+)
+def test_sampled_alphas_vs_quadrature_random(first, gaps, values, n):
+    radii = [first]
+    for g in gaps:
+        radii.append(radii[-1] + g)
+    w = SampledWeight(radii=tuple(radii), values=tuple(values[:len(radii)]))
+    _, alpha_q, _ = moment_quadrature(w, n, tol=1e-12)
+    assert abs(w.alphas(n)[n] - alpha_q) / alpha_q <= 1e-10
 
 
 def test_mollified_alpha0_within_one_percent(step18):
     # the smoothed weight differs from the plateau only on a 2e-3 wide zone
     smooth = mollify_weight(step18, 1e-3)
     _, a0_smooth, _ = moment_quadrature(smooth, 0, tol=1e-12)
-    _, a0_step = moment_closed_form_step(step18, 0)
+    a0_step = step18.alphas(0)[0]
     assert abs(a0_smooth - a0_step) / a0_step < 0.01
 
 
@@ -175,10 +203,9 @@ def test_sampled_flat_extrapolation():
 
 def test_dirac_moments():
     w = DiracAugmentedWeight(4.0)
-    mu0, alpha0 = moment_closed_form_dirac(w, 0)
-    assert mu0 == pytest.approx(PI + 4.0, rel=1e-15)
-    mu3, _ = moment_closed_form_dirac(w, 3)
-    assert mu3 == pytest.approx(PI / 4.0, rel=1e-15)
+    mus = moment_table(w, 3).mus
+    assert mus[0] == pytest.approx(PI + 4.0, rel=1e-15)
+    assert mus[3] == pytest.approx(PI / 4.0, rel=1e-15)
     al = alphas_closed_form(w, 3)
     assert al[0] == pytest.approx(1.0 / (PI + 4.0), rel=1e-15)
     assert al[2] == pytest.approx(3.0 / PI, rel=1e-15)

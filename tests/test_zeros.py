@@ -11,7 +11,6 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWe
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
                       sweep_step_weights, zeros)
-from bergkern.weights import moment_closed_form_sampled, moment_closed_form_step
 from bergkern.zeros import min_affine_modulus_on_circle, worker_count
 
 PI = math.pi
@@ -64,6 +63,15 @@ def test_exact_sign_claim_covers_the_whole_cutoff(step18_series):
     assert second_difference_bound(step18_series, 400).sign_certified
     # exact signs are checked only up to n = 600; past it the claim is dropped
     assert not second_difference_bound(step18_series, 1000).sign_certified
+
+
+def test_explicit_coefficients_are_never_sign_certified(step18_series):
+    # the plateau's own coefficients, but given explicitly: the exact check is
+    # about the weight, so it must not vouch for them
+    series = KernelSeries(step18_series.weight, coeffs=step18_series.alphas(400))
+    sd = second_difference_bound(series, 400)
+    assert sd.all_negative and not sd.sign_certified
+    assert not rouche_certificate(series, 0.01).second_differences.sign_certified
 
 
 def test_second_difference_rejects_tiny_cutoff(step18_series):
@@ -183,6 +191,15 @@ def test_located_conjugate_pair_is_exact():
     assert upper.location.imag > 0.0
     assert upper.location == lower.location.conjugate()
     assert upper.residual == lower.residual
+
+
+def test_newton_refine_counts_steps_not_evaluations():
+    mass = 10.0
+    series = KernelSeries(DiracAugmentedWeight(mass))
+    exact = 1.0 - math.sqrt(1.0 + PI / mass)
+    target = 1e-9 * series.alpha(0)
+    assert zeros._newton_refine(series, exact, target).iterations == 0
+    assert zeros._newton_refine(series, exact + 1e-3, target).iterations >= 1
 
 
 def test_locate_shortfall_is_reported(step18_series, monkeypatch):
@@ -331,10 +348,10 @@ def test_mollify_matches_step_outside_transitions(step18):
 
 
 def test_mollify_moment_convergence(step18):
-    mu_step, _ = moment_closed_form_step(step18, 0)
+    mu_step = 1.0 / step18.alphas(0)[0]
     gaps = []
     for width in (1e-3, 1e-4, 1e-5):
-        mu, _ = moment_closed_form_sampled(mollify_weight(step18, width), 0)
+        mu = 1.0 / mollify_weight(step18, width).alphas(0)[0]
         gaps.append(abs(mu - mu_step))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-4 * mu_step
