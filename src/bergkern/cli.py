@@ -48,6 +48,8 @@ def parse_range(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: stop is below start")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -277,12 +279,14 @@ def _cmd_lp_probe(args, parser) -> int:
     weight = resolve_weight(args, parser)
     family = None
     if args.functions:
-        with open(args.functions, "r", encoding="utf-8") as fh:
-            specs = json.load(fh)
-        family = []
-        for spec in specs:
-            fn, name = function_from_spec(spec)
-            family.append((name, fn))
+        try:
+            with open(args.functions, "r", encoding="utf-8") as fh:
+                specs = json.load(fh)
+            if not isinstance(specs, list):
+                raise ValueError("expected a JSON list of test-function specs")
+            family = [(name, fn) for fn, name in map(function_from_spec, specs)]
+        except (OSError, ValueError) as exc:
+            parser.error(f"--functions: {exc}")
     else:
         family = default_family(args.n_terms, seed=args.seed)
     p_values = [float(p) for p in args.p.split(",")]

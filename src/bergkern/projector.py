@@ -9,31 +9,30 @@ uniform angles) the discrete projector inherits exact monomial
 orthogonality: the angular trapezoid rule integrates trigonometric
 polynomials of degree < M exactly, and M >= 4N+4 keeps every product
 monomial in range.  Truncation error is governed by the kernel tail
-bound, not by the grid.
+bound, not by the grid.  That trapezoid rule is a DFT: <f, w^n>_lam is one
+FFT along theta and a contraction against (lam w_r r dtheta) r^n, and Pf
+is one inverse FFT of c_n r^n placed at frequencies 0..N.
 
 Also here: L^p norms on the grid, a lower-bound probe of the projection's
 L^p operator norm over a family of test functions, and the split-operator
 witness ||Tf||_p^(2p) <= ||S1|f|||_p^p * ||S2|f|||_p^p for the factored
-kernel (geometric part times difference part).
+kernel (geometric part times difference part).  Both factors depend on
+z*conj(w) = r r' e^(i(theta-phi)) and theta-phi stays on the uniform grid,
+so T, S1 and S2 are angular convolutions: FFTs along theta, a sum over r'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .kernel import KernelSeries
 from .weights import DiracAugmentedWeight
 
-_LEGGAUSS_CACHE: dict = {}
-
-
-def _leggauss(n: int):
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -46,21 +45,26 @@ class DiscreteProjector:
     thetas: np.ndarray           # (M,)
     alphas: np.ndarray           # (n_max+1,)
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
         """Complex grid points, shape (R, M)."""
         return self.radii[:, None] * np.exp(1j * self.thetas[None, :])
 
-    @property
+    @cached_property
     def area_weights(self) -> np.ndarray:
         """dA weights on the grid: w_r * r * dtheta, shape (R, M)."""
         dtheta = 2.0 * math.pi / len(self.thetas)
         return (self.radial_weights * self.radii)[:, None] * np.full(len(self.thetas), dtheta)
 
-    @property
+    @cached_property
     def weighted_area(self) -> np.ndarray:
         """lam dA weights on the grid, shape (R, M)."""
         return self.area_weights * self.lam[:, None]
+
+    @cached_property
+    def radial_powers(self) -> np.ndarray:
+        """r^n for n = 0..n_max, shape (R, n_max+1)."""
+        return self.radii[:, None] ** np.arange(self.n_max + 1)
 
 
 def build_projector(weight, n_max: int, radial_per_segment: int = 200,
@@ -103,15 +107,10 @@ def inner_product(proj: DiscreteProjector, f: np.ndarray, g: np.ndarray) -> comp
 
 
 def monomial_inner(proj: DiscreteProjector, f: np.ndarray) -> np.ndarray:
-    """<f, w^n>_lam for n = 0..n_max in one pass over the grid."""
-    w = proj.weighted_area * f
-    conj_grid = np.conj(proj.grid)
-    out = np.empty(proj.n_max + 1, dtype=complex)
-    power = np.ones_like(conj_grid)
-    for n in range(proj.n_max + 1):
-        out[n] = np.sum(w * power)
-        power = power * conj_grid
-    return out
+    """<f, w^n>_lam for n = 0..n_max: an FFT along theta, then the radial sum."""
+    spectrum = np.fft.fft(f, axis=1)[:, :proj.n_max + 1]
+    radial = proj.weighted_area[:, :1] * proj.radial_powers
+    return np.sum(radial * spectrum, axis=0)
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,9 @@ def project(proj: DiscreteProjector, f: np.ndarray) -> ProjectedFunction:
         raise ValueError(f"samples must live on the projector grid {proj.grid.shape}, "
                          f"got {f.shape}")
     coeffs = proj.alphas * monomial_inner(proj, f)
-    values = np.zeros_like(f)
-    power = np.ones_like(proj.grid)
-    for c in coeffs:
-        values = values + c * power
-        power = power * proj.grid
+    spectrum = np.zeros_like(f)
+    spectrum[:, :proj.n_max + 1] = coeffs * proj.radial_powers
+    values = np.fft.ifft(spectrum, axis=1) * len(proj.thetas)
     return ProjectedFunction(coeffs=coeffs, values=values)
 
 
@@ -154,18 +151,30 @@ def function_from_spec(spec: dict):
     {"type":"radial_power","s":0.5}  for (1-|z|^2)^s,
     {"type":"bump","center":0.3,"width":0.1} for exp(-((|z|-c)/w)^2).
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"test-function spec must be an object, got {spec!r}")
+
+    def number(key, default=None):
+        try:
+            value = float(spec.get(key, default))
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"test-function spec {spec!r} needs a finite number {key!r}")
+        return value
+
     kind = spec.get("type")
     if kind == "monomial":
-        m = int(spec.get("m", 0))
+        m = int(number("m", 0))
         conj = bool(spec.get("conjugate", False))
         if conj:
             return (lambda z: np.conj(z) ** m), f"conj(z)^{m}"
         return (lambda z: np.asarray(z, dtype=complex) ** m), f"z^{m}"
     if kind == "radial_power":
-        s = float(spec["s"])
+        s = number("s")
         return (lambda z: (1.0 - np.abs(z) ** 2) ** s), f"(1-|z|^2)^{s:g}"
     if kind == "bump":
-        c, w = float(spec["center"]), float(spec["width"])
+        c, w = number("center"), number("width")
         return (lambda z: np.exp(-(((np.abs(z) - c) / w) ** 2))), f"bump({c:g},{w:g})"
     raise ValueError(f"unknown test-function spec {spec!r}")
 
@@ -183,10 +192,7 @@ def default_family(n_max: int, seed: int = 0):
             specs.append({"type": "monomial", "m": m, "conjugate": True})
     specs.extend({"type": "radial_power", "s": s} for s in (0.25, 0.5, 1.0))
     specs.extend({"type": "bump", "center": c, "width": w} for c, w in ((0.3, 0.1), (0.7, 0.1)))
-    family = []
-    for spec in specs:
-        fn, name = function_from_spec(spec)
-        family.append((name, fn))
+    family = [(name, fn) for fn, name in map(function_from_spec, specs)]
     rng = np.random.default_rng(seed)
     for i in range(3):
         k_max = 6
@@ -194,8 +200,8 @@ def default_family(n_max: int, seed: int = 0):
         d = rng.standard_normal(4)
 
         def fn(z, c=c, d=d, k_max=k_max):
-            r, th = np.abs(z), np.angle(z)
-            trig = sum(ck * np.exp(1j * (k - k_max) * th) for k, ck in enumerate(c))
+            r, u = np.abs(z), np.exp(1j * np.angle(z))
+            trig = np.polyval(c[::-1], u) * u ** -k_max      # sum_k c_k e^(i(k-k_max)theta)
             radial = sum(dj * r ** j for j, dj in enumerate(d))
             return trig * radial
 
@@ -220,25 +226,18 @@ def lp_probe(weight, p_values, n_max: int = 40, radial_per_segment: int = 200,
     proj = build_projector(weight, n_max, radial_per_segment, angular)
     fam = family if family is not None else default_family(n_max, seed)
     grid = proj.grid
-    projected = []
+    moduli = []
     for name, fn in fam:
-        samples = np.asarray(fn(grid), dtype=complex)
-        if samples.shape != grid.shape:
-            samples = np.broadcast_to(samples, grid.shape).astype(complex)
-        projected.append((name, samples, project(proj, samples).values))
+        samples = np.broadcast_to(np.asarray(fn(grid), dtype=complex), grid.shape)
+        moduli.append((name, np.abs(samples), np.abs(project(proj, samples).values)))
     results = []
     label = weight.label()
     for p in p_values:
         rows = []
-        best = 0.0
-        for name, samples, pvals in projected:
-            denom = lp_norm(proj, samples, p)
-            if denom == 0.0:
-                rows.append((name, None))
-                continue
-            ratio = lp_norm(proj, pvals, p) / denom
-            rows.append((name, ratio))
-            best = max(best, ratio)
+        for name, abs_f, abs_pf in moduli:
+            denom = lp_norm(proj, abs_f, p)
+            rows.append((name, lp_norm(proj, abs_pf, p) / denom if denom != 0.0 else None))
+        best = max([0.0] + [ratio for _, ratio in rows if ratio is not None])
         results.append(ProbeResult(weight_label=label, p=float(p), n_max=n_max,
                                    max_ratio=best, rows=tuple(rows)))
     return results
@@ -269,32 +268,30 @@ def cs_split_witness(weight, f, p: float, n_trunc: int = 12,
         raise ValueError(f"p must lie in (1, inf), got {p}")
     nodes, wts = _leggauss(radial)
     r = 0.5 * (nodes + 1.0)
-    wr = 0.5 * wts
     thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
-    pts = (r[:, None] * np.exp(1j * thetas[None, :])).ravel()
-    area = ((wr * r)[:, None] * np.full(angular, 2.0 * math.pi / angular)).ravel()
+    area = (0.5 * wts * r * (2.0 * math.pi / angular))[:, None]     # (R, 1)
 
-    alphas = KernelSeries(weight).alphas(n_trunc)
-    b = np.diff(alphas, prepend=0.0)
+    b = np.diff(KernelSeries(weight).alphas(n_trunc), prepend=0.0)
+    pts = r[:, None] * np.exp(1j * thetas[None, :])
+    fv = np.broadcast_to(np.asarray(f(pts), dtype=complex), pts.shape)
 
-    fv = np.asarray(f(pts), dtype=complex)
-    if fv.shape != pts.shape:
-        fv = np.broadcast_to(fv, pts.shape).astype(complex)
-    tf = np.empty_like(fv)
-    s1 = np.empty(len(pts))
-    s2 = np.empty(len(pts))
-    chunk = 512
-    conj_pts = np.conj(pts)
-    for lo in range(0, len(pts), chunk):
-        z = pts[lo:lo + chunk, None]
-        t = z * conj_pts[None, :]
-        k1 = (1.0 - t ** (n_trunc + 1)) / (1.0 - t)
-        k2 = np.zeros_like(t)
-        for c in b[::-1]:
-            k2 = k2 * t + c
-        tf[lo:lo + chunk] = (k1 * k2) @ (area * fv)
-        s1[lo:lo + chunk] = np.real(np.abs(k1) ** 2 @ (area * np.abs(fv)))
-        s2[lo:lo + chunk] = np.real(np.abs(k2) ** 2 @ (area * np.abs(fv)))
+    # both factors at t = r_i r_j e^(i theta_d), shape (R, R, M)
+    t = (r[:, None] * r[None, :])[:, :, None] * np.exp(1j * thetas)
+    k1 = (1.0 - t ** (n_trunc + 1)) / (1.0 - t)
+    k2 = np.zeros_like(t)
+    for c in b[::-1]:
+        k2 = k2 * t + c
+
+    def convolve(kernel, g):
+        # sum_j sum_l kernel[i, j, k - l] g[j, l]: a product of DFTs along theta
+        spectrum = np.einsum("ijm,jm->im", np.fft.fft(kernel, axis=2),
+                             np.fft.fft(area * g, axis=1))
+        return np.fft.ifft(spectrum, axis=1)
+
+    abs_f = np.abs(fv)
+    tf = convolve(k1 * k2, fv)
+    s1 = np.real(convolve(np.abs(k1) ** 2, abs_f))
+    s2 = np.real(convolve(np.abs(k2) ** 2, abs_f))
 
     lhs = float(np.sum(area * np.abs(tf) ** p) ** 2)
     rhs = float(np.sum(area * s1 ** p) * np.sum(area * s2 ** p))

@@ -178,6 +178,11 @@ class SchurIntegral:
         return self.value + self.tail
 
 
+def _beta_factors(length: int, epsilon: float) -> np.ndarray:
+    """B(n+1, eps+1) for n = 0..length-1."""
+    return np.exp(np.array([log_beta(k + 1.0, epsilon + 1.0) for k in range(length)]))
+
+
 def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) -> SchurIntegral:
     """I(eps, z) by the orthogonality reduction.
 
@@ -187,11 +192,16 @@ def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) ->
     = 1/(eps+1) and |beta_n| <= sup |beta|.
     """
     _check_epsilon(epsilon)
+    return _schur_integral(seq, epsilon, z_radius, _beta_factors(len(seq.betas), epsilon))
+
+
+def _schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float,
+                    beta: np.ndarray) -> SchurIntegral:
+    """schur_integral with the Beta factors B(n+1, eps+1) given."""
     if not 0.0 <= z_radius < 1.0:
         raise ValueError(f"need |z| < 1, got {z_radius}")
     n = np.arange(len(seq.betas))
-    log_b = np.array([log_beta(k + 1.0, epsilon + 1.0) for k in n])
-    terms = np.abs(seq.betas) ** 2 * z_radius ** (2 * n) * math.pi * np.exp(log_b)
+    terms = np.abs(seq.betas) ** 2 * z_radius ** (2 * n) * math.pi * beta
     value = float(np.sum(terms))
     if z_radius == 0.0:
         tail = 0.0
@@ -255,13 +265,14 @@ def schur_theoretical_constant(epsilon: float) -> float:
 def schur_bound_check(seq: CoefficientSequence, epsilon: float, grid) -> SchurReport:
     """Empirical sup of I(eps,z)/(1-|z|^2)^eps over a radius grid vs the
     closed-form constant (after normalizing by sup |beta|^2)."""
+    theoretical = schur_theoretical_constant(epsilon)
+    beta = _beta_factors(len(seq.betas), epsilon)
     radii = tuple(float(r) for r in grid)
     ratios = []
     for r in radii:
-        integ = schur_integral(seq, epsilon, r)
+        integ = _schur_integral(seq, epsilon, r, beta)
         ratios.append(integ.upper / (1.0 - r ** 2) ** epsilon)
     empirical = max(ratios)
-    theoretical = schur_theoretical_constant(epsilon)
     sup = seq.sup_abs()
     return SchurReport(epsilon=epsilon, z_grid=radii, ratios=tuple(ratios),
                        empirical_c=float(empirical), theoretical_c=theoretical,

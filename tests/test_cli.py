@@ -67,6 +67,33 @@ def test_bad_input_exits_2_with_message(argv, env, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, functions", [
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{missing}"], None),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{file}"],
+     [{"type": "radial_power"}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{file}"],
+     {"type": "monomial", "m": 2}),
+    (["sweep", "--A", "5:1:1", "--x", "0.3:0.3:0.1"], None),
+    (["schur", "--step", "18,0.25", "--eps", "-0.5", "--grid", "0.5:0.1:0.1"], None),
+], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
+        "sweep-empty-range", "schur-empty-grid"])
+def test_usage_errors_exit_2_with_message(argv, functions, tmp_path, capsys):
+    spec_file = tmp_path / "fns.json"
+    if functions is not None:
+        spec_file.write_text(json.dumps(functions))
+    argv = [a.format(file=spec_file, missing=tmp_path / "nope.json") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_parse_range_rejects_empty():
+    with pytest.raises(Exception, match="empty range"):
+        parse_range("5:1:1")
+    assert list(parse_range("0.5:0.5:0.1")) == [0.5]
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------

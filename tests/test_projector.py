@@ -2,13 +2,76 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bergkern import (ConstantWeight, build_projector, cs_split_witness, default_family,
-                      lp_norm, lp_probe, project)
-from bergkern.projector import function_from_spec, inner_product
+from bergkern import (ConstantWeight, KernelSeries, StepWeight, build_projector,
+                      cs_split_witness, default_family, lp_norm, lp_probe, project)
+from bergkern.projector import _leggauss, function_from_spec, inner_product, monomial_inner
 from bergkern.weights import DiracAugmentedWeight
 
 PI = math.pi
+
+
+# --------------------------------------------------------------------------
+# reference implementations: dense power loops over the grid
+# --------------------------------------------------------------------------
+
+def reference_monomial_inner(proj, f):
+    w = proj.weighted_area * f
+    conj_grid = np.conj(proj.grid)
+    out = np.empty(proj.n_max + 1, dtype=complex)
+    power = np.ones_like(conj_grid)
+    for n in range(proj.n_max + 1):
+        out[n] = np.sum(w * power)
+        power = power * conj_grid
+    return out
+
+
+def reference_project(proj, f):
+    coeffs = proj.alphas * reference_monomial_inner(proj, f)
+    values = np.zeros_like(f)
+    power = np.ones_like(proj.grid)
+    for c in coeffs:
+        values = values + c * power
+        power = power * proj.grid
+    return coeffs, values
+
+
+def reference_split_witness(weight, f, p, n_trunc=12, radial=32, angular=48):
+    """The split witness from dense kernel matrices, built in row chunks."""
+    nodes, wts = _leggauss(radial)
+    r = 0.5 * (nodes + 1.0)
+    wr = 0.5 * wts
+    thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
+    pts = (r[:, None] * np.exp(1j * thetas[None, :])).ravel()
+    area = ((wr * r)[:, None] * np.full(angular, 2.0 * math.pi / angular)).ravel()
+    b = np.diff(KernelSeries(weight).alphas(n_trunc), prepend=0.0)
+    fv = np.broadcast_to(np.asarray(f(pts), dtype=complex), pts.shape)
+    tf = np.empty_like(fv)
+    s1 = np.empty(len(pts))
+    s2 = np.empty(len(pts))
+    chunk = 512
+    conj_pts = np.conj(pts)
+    for lo in range(0, len(pts), chunk):
+        t = pts[lo:lo + chunk, None] * conj_pts[None, :]
+        k1 = (1.0 - t ** (n_trunc + 1)) / (1.0 - t)
+        k2 = np.zeros_like(t)
+        for c in b[::-1]:
+            k2 = k2 * t + c
+        tf[lo:lo + chunk] = (k1 * k2) @ (area * fv)
+        s1[lo:lo + chunk] = np.real(np.abs(k1) ** 2 @ (area * np.abs(fv)))
+        s2[lo:lo + chunk] = np.real(np.abs(k2) ** 2 @ (area * np.abs(fv)))
+    lhs = float(np.sum(area * np.abs(tf) ** p) ** 2)
+    rhs = float(np.sum(area * s1 ** p) * np.sum(area * s2 ** p))
+    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))
+
+
+def max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+REFERENCE_WEIGHTS = (ConstantWeight(1.0), StepWeight.from_plateau(18.0, 0.25),
+                     StepWeight.from_plateau(3.0, 0.7), StepWeight.from_plateau(0.3, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +164,27 @@ def test_projector_guards():
         build_projector(DiracAugmentedWeight(1.0), 10)
 
 
+def test_grid_arrays_computed_once(proj_step):
+    assert proj_step.grid is proj_step.grid
+    assert proj_step.weighted_area is proj_step.weighted_area
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(REFERENCE_WEIGHTS), st.integers(min_value=0, max_value=60),
+       st.sampled_from(["4N+4", "4N+8", "odd"]), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_fft_projection_matches_power_loop(weight, n_max, angular, seed):
+    m = {"4N+4": 4 * n_max + 4, "4N+8": 4 * n_max + 8, "odd": 4 * n_max + 5}[angular]
+    proj = build_projector(weight, n_max, radial_per_segment=40, angular=m)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(proj.grid.shape) + 1j * rng.standard_normal(proj.grid.shape)
+    want_inner = reference_monomial_inner(proj, f)
+    assert max_rel(monomial_inner(proj, f), want_inner) <= 1e-12
+    want_coeffs, want_values = reference_project(proj, f)
+    got = project(proj, f)
+    assert max_rel(got.coeffs, want_coeffs) <= 1e-12
+    assert max_rel(got.values, want_values) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # norms
 # --------------------------------------------------------------------------
@@ -175,6 +259,41 @@ def test_cs_split_zero_function(step18):
     assert wit.lhs == 0.0 and wit.rhs == 0.0 and wit.holds
 
 
+@pytest.mark.parametrize("weight, p, cubic", [
+    (REFERENCE_WEIGHTS[1], 1.5, [1.0, -0.5j, 0.25, 1.0]),
+    (REFERENCE_WEIGHTS[2], 2.0, [0.3 + 0.7j, -0.8, 0.1 - 0.4j, 0.6j]),
+    (REFERENCE_WEIGHTS[3], 3.0, [-0.9 + 0.2j, 0.5 - 0.5j, 0.75, -0.3 + 0.9j]),
+    (REFERENCE_WEIGHTS[0], 4.0, [0.05, 0.4 + 0.4j, -0.6j, 1.0 - 1.0j]),
+])
+def test_cs_split_matches_dense_reference(weight, p, cubic):
+    fn = lambda z: np.polyval(cubic, z)
+    wit = cs_split_witness(weight, fn, p)
+    lhs, rhs, holds = reference_split_witness(weight, fn, p)
+    assert wit.lhs == pytest.approx(lhs, rel=1e-12)
+    assert wit.rhs == pytest.approx(rhs, rel=1e-12)
+    assert wit.holds == holds
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.2, max_value=30.0), st.floats(min_value=0.1, max_value=0.9),
+       st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.integers(min_value=1, max_value=16),
+       st.integers(min_value=2, max_value=20), st.integers(min_value=3, max_value=40),
+       st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0), min_size=1,
+                max_size=5))
+def test_cs_split_matches_dense_reference_on_small_grids(a, x, p, n_trunc, radial, angular,
+                                                         coeffs):
+    weight = StepWeight.from_plateau(a, x)
+    fn = lambda z: np.polyval(coeffs, z)
+    wit = cs_split_witness(weight, fn, p, n_trunc=n_trunc, radial=radial, angular=angular)
+    lhs, rhs, holds = reference_split_witness(weight, fn, p, n_trunc, radial, angular)
+    if lhs == 0.0:
+        assert wit.lhs == 0.0
+    else:
+        assert wit.lhs == pytest.approx(lhs, rel=1e-12)
+        assert wit.rhs == pytest.approx(rhs, rel=1e-12)
+    assert wit.holds == holds
+
+
 def test_cs_split_rejects_bad_exponent(step18):
     with pytest.raises(ValueError):
         cs_split_witness(step18, lambda z: z, 1.0)
@@ -195,3 +314,18 @@ def test_function_from_spec_variants():
     assert fn(np.array([0.5]))[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         function_from_spec({"type": "mystery"})
+
+
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    "monomial",
+    {"type": "radial_power"},
+    {"type": "radial_power", "s": "half"},
+    {"type": "bump", "center": 0.3},
+    {"type": "bump", "center": None, "width": 0.1},
+    {"type": "monomial", "m": [3]},
+    {"type": "monomial", "m": math.inf},
+])
+def test_function_from_spec_rejects_malformed(spec):
+    with pytest.raises(ValueError):
+        function_from_spec(spec)

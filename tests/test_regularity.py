@@ -172,6 +172,15 @@ def test_schur_integral_monotone_in_radius():
 # bound check report
 # --------------------------------------------------------------------------
 
+def test_schur_bound_check_ratios_match_schur_integral(step18):
+    seq = CoefficientSequence.from_weight(step18, 400)
+    grid = np.linspace(0.0, 0.99, 34)
+    rep = schur_bound_check(seq, -0.3, grid)
+    for r, ratio in zip(grid, rep.ratios):
+        # bit-identical: the hoisted Beta factors are the same numbers
+        assert ratio == schur_integral(seq, -0.3, r).upper / (1.0 - r ** 2) ** -0.3
+
+
 def test_schur_bound_check_uniform_sequence():
     seq = CoefficientSequence(betas=np.ones(800), source="user")
     report = schur_bound_check(seq, -0.5, (0.0, 0.5, 0.9, 0.99))
