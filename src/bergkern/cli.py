@@ -6,7 +6,7 @@ line naming the units; every coefficient-valued output is in true units
 multiplies the display by 2*pi.  Exit codes: 0 success, 1 computational
 failure (uncertified or out-of-tolerance result), 2 usage error.
 Randomized families are seeded, so identical invocations produce
-byte-identical output.  BERGKERN_THREADS caps sweep parallelism.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -325,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergkern",
         description="Weighted kernels on the unit disc: moments, zero certificates, "
-                    "Schur-test diagnostics, discretized projections.",
-        epilog="BERGKERN_THREADS caps sweep parallelism.")
+                    "Schur-test diagnostics, discretized projections.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -34,6 +34,8 @@ from .weights import DiracAugmentedWeight
 
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
+MAX_GRID_POINTS = 1 << 21   # caps R*M, and (nodes per segment)^2: each Gauss rule's matrix
+
 
 @dataclass(frozen=True)
 class DiscreteProjector:
@@ -81,6 +83,13 @@ def build_projector(weight, n_max: int, radial_per_segment: int = 200,
     edges = sorted({0.0, 1.0, *(b for b in weight.breakpoints if 0.0 < b < 1.0)})
     n_seg = len(edges) - 1
     per = radial_per_segment if n_seg <= 6 else max(8, (radial_per_segment * 6) // n_seg)
+    m = angular if angular is not None else 4 * n_max + 8
+    if m < 4 * n_max + 4:
+        raise ValueError(f"need at least {4 * n_max + 4} angular nodes for exact "
+                         f"monomial orthogonality at degree {n_max}, got {m}")
+    if n_seg * per * m > MAX_GRID_POINTS or per * per > MAX_GRID_POINTS:
+        raise ValueError(f"{n_seg}x{per} radial by {m} angular nodes exceed the grid limit "
+                         f"({MAX_GRID_POINTS} points, {math.isqrt(MAX_GRID_POINTS)} per segment)")
     nodes, wts = _leggauss(per)
     radii, radial_weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -89,10 +98,6 @@ def build_projector(weight, n_max: int, radial_per_segment: int = 200,
         radial_weights.append(half * wts)
     radii = np.concatenate(radii)
     radial_weights = np.concatenate(radial_weights)
-    m = angular if angular is not None else 4 * n_max + 8
-    if m < 4 * n_max + 4:
-        raise ValueError(f"need at least {4 * n_max + 4} angular nodes for exact "
-                         f"monomial orthogonality at degree {n_max}, got {m}")
     thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     series = KernelSeries(weight)
     return DiscreteProjector(weight=weight, n_max=n_max, radii=radii,

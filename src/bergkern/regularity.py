@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernel import KernelSeries
 
@@ -221,6 +220,7 @@ def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius
     the radial factor (1-r^2)^eps is handled by an algebraic-endpoint
     weighted adaptive rule after substituting u = r^2.
     """
+    from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
     _check_epsilon(epsilon)
     n_max = seq.n_max
     m = max(64, n_max + 1)

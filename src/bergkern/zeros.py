@@ -14,9 +14,12 @@ produce zeros.  Two independent mechanisms are implemented:
 
 * an argument-principle counter: the winding number of the truncated
   polynomial (1-t)^2 P_N(t) along |t| = rho counts the zeros of F inside,
-  certified whenever the contour minimum modulus exceeds the series tail
-  bound times (1+rho)^2.  The counted zeros are located from the contour
-  moments of that polynomial plus a Newton polish, not from companion roots.
+  certified whenever a proven lower bound on the contour modulus exceeds
+  the series tail bound times (1+rho)^2.  One FFT pair of the polynomial
+  and its derivative on the contour gives the winding, that bound (the
+  samples, a second-order Taylor bound between them and the FFT's
+  rounding) and the contour moments from which the counted zeros are
+  located, before a Newton polish; no companion roots.
 
 The counter is also the engine behind parameter sweeps, the smooth
 (mollified) plateau check, and the point-mass threshold cross-check.
@@ -25,13 +28,10 @@ The counter is also the engine behind parameter sweeps, the smooth
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernel import KernelSeries, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
 from .weights import (ConstantWeight, DiracAugmentedWeight, SampledWeight, StepWeight,
@@ -204,45 +204,56 @@ class ZeroReport:
     located_zeros: tuple
     certified: bool
     n_terms: int
-    min_contour_modulus: float
+    min_contour_modulus: float        # proven lower bound of |(1-t)^2 P_N| on |t| = rho_used
     tail: float
-    contour_samples: int
+    contour_samples: int              # FFT size m of the contour
     diagnostics: str = ""
 
 
-class _ContourTrouble(Exception):
-    def __init__(self, min_mod):
-        self.min_mod = min_mod
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 24.2: a
+# power-of-two FFT has normwise relative error lg(m) eta/(1 - lg(m) eta), where
+# eta = u + gamma_4 (sqrt(2) + u) for twiddle factors accurate to u.
+_U = 0.5 * np.finfo(float).eps
+_FFT_ETA = _U + 4.0 * _U / (1.0 - 4.0 * _U) * (math.sqrt(2.0) + _U)
+MAX_CONTOUR_SAMPLES = 1 << 20     # a contour needing more passes through a zero
 
 
-def _adaptive_winding(coeffs: np.ndarray, rho: float, initial: int, max_samples: int):
-    """Winding number of the polynomial along |t| = rho.
+def _contour(coeffs: np.ndarray, rho: float, margin: float):
+    """Winding number and a proven lower bound of |p| on |t| = rho, p = `coeffs`.
 
-    Samples are refined until every consecutive phase step is below pi/2,
-    after which the summed principal phase increments are exactly 2*pi
-    times the winding number.  Raises _ContourTrouble when the sample
-    budget runs out or a sample hits (numerically) zero.
+    With s_k = c_k rho^k and h = 2 pi/m, two inverse FFTs give v_j = p(t_j) and
+    d_j = t_j p'(t_j), |d_j| = |dp/dtheta|, at t_j = rho e^(i j h).  Since
+    M2 = sum k^2 |s_k| bounds |d^2p/dtheta^2|, |p| >= min_j(|v_j| - (h/2)|d_j|) -
+    (h^2/8) M2 on the circle; if every |v_j| > h|d_j| + (h^2/2) M2, each arc stays in
+    a disc about v_j that misses 0, so the principal phase steps sum to 2 pi times
+    the winding.  v and d carry the FFT's per-sample rounding (with its sqrt(m)) and
+    that of s_k.  m, first the power of two >= max(4096, deg+1), doubles up to
+    MAX_CONTOUR_SAMPLES while the sampled minimum clears `margin` but the bound does
+    not.  Returns (values, dvalues, winding, bound, m); bound > 0 proves the winding.
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, initial, endpoint=False)
-    values = _polyval(rho * np.exp(1j * thetas), coeffs.astype(complex))
+    k = np.arange(len(coeffs))
+    scaled = coeffs * rho ** k
+    sizes = (np.abs(scaled), np.abs(scaled * k))
+    m2 = float(np.sum(k * sizes[1])) * (1.0 + (len(k) + 4) * _U)
+    norms = [(math.sqrt(float(np.sum(a * a))), float(np.sum(a))) for a in sizes]
+    m = 1 << max(12, (len(k) - 1).bit_length())
     while True:
+        values = np.fft.ifft(scaled, m, norm="forward")
+        dvalues = np.fft.ifft(scaled * k, m, norm="forward")
+        h, lg = 2.0 * math.pi / m, math.log2(m)
+        fft_rel = lg * _FFT_ETA / (1.0 - lg * _FFT_ETA) * math.sqrt(m)
+        err_v, err_d = (fft_rel * l2 + 6.0 * _U * l1 for l2, l1 in norms)
         mods = np.abs(values)
-        if not np.all(mods > 0.0):
-            raise _ContourTrouble(0.0)
-        steps = np.angle(np.roll(values, -1) / values)
-        bad = np.abs(steps) >= 0.5 * math.pi
-        if not bad.any():
-            winding = float(np.sum(steps) / (2.0 * math.pi))
-            return int(round(winding)), float(mods.min()), len(thetas)
-        if len(thetas) + int(bad.sum()) > max_samples:
-            raise _ContourTrouble(float(mods.min()))
-        gaps = np.diff(thetas, append=thetas[0] + 2.0 * math.pi)
-        fresh = thetas[bad] + 0.5 * gaps[bad]
-        fresh_vals = _polyval(rho * np.exp(1j * fresh), coeffs.astype(complex))
-        thetas = np.concatenate([thetas, fresh])
-        values = np.concatenate([values, fresh_vals])
-        order = np.argsort(thetas)
-        thetas, values = thetas[order], values[order]
+        dmods = np.abs(dvalues) + err_d
+        bound = float(np.min(mods - err_v - 0.5 * h * dmods)) - 0.125 * h * h * m2
+        if not np.all(mods - 2.0 * err_v > h * dmods + 0.5 * h * h * m2):
+            bound = min(bound, 0.0)
+        if bound > margin or float(mods.min()) <= margin or 2 * m > MAX_CONTOUR_SAMPLES:
+            break
+        m *= 2
+    steps = np.angle(np.roll(values, -1) * np.conj(values))
+    winding = int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+    return values, dvalues, winding, bound, m
 
 
 def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
@@ -263,18 +274,17 @@ def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
     return None
 
 
-def _locate_zeros(series: KernelSeries, coeffs: np.ndarray, rho: float, count: int,
-                  residual_target: float):
-    """Zeros of F in |t| < rho from the contour moments of the polynomial p = `coeffs`.
+def _locate_zeros(series: KernelSeries, values: np.ndarray, dvalues: np.ndarray, rho: float,
+                  count: int, residual_target: float):
+    """Zeros of F in |t| < rho from the contour samples of the certified polynomial p.
 
-    Trapezoid means of (t/rho)^k t p'/p on |t| = rho are the scaled power sums of
-    the `count` zeros of p inside; their Hankel pencil's eigenvalues are those zeros
-    (Delves & Lyness 1967).  The sums are real, so the starts with Im >= 0 are
+    With `values` = p and `dvalues` = t p' on m uniform points of |t| = rho, the
+    trapezoid means of (t/rho)^k t p'/p are the scaled power sums of the `count`
+    zeros of p inside; their Hankel pencil's eigenvalues are those zeros (Delves &
+    Lyness 1967).  The sums are real, so the starts with Im >= 0 are
     Newton-polished against the certified series and the non-real ones mirrored.
     """
-    m = 1 << max(12, (len(coeffs) - 1).bit_length())
-    scaled = coeffs * rho ** np.arange(len(coeffs))
-    g = np.fft.ifft(scaled * np.arange(len(coeffs)), m) / np.fft.ifft(scaled, m)
+    g = dvalues / values
     hankel = np.fft.ifft(g).real[np.add.outer(np.arange(count), np.arange(count + 1))]
     try:
         starts = rho * np.linalg.eigvals(np.linalg.solve(hankel[:, :-1], hankel[:, 1:]))
@@ -296,21 +306,23 @@ def _locate_zeros(series: KernelSeries, coeffs: np.ndarray, rho: float, count: i
 
 
 def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int] = None, *,
-                        locate: bool = True, initial_samples: int = 1024,
-                        max_samples: int = 1 << 18, max_terms: int = 400_000,
+                        locate: bool = True, max_terms: int = 400_000,
                         residual_factor: float = 1e-9) -> ZeroReport:
     """Certified zero count of F in |t| < rho via the argument principle.
 
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
-    the contour; certification requires the sampled contour minimum to
-    exceed tail_bound(rho, N) * (1+rho)^2, in which case Rouche transfers
-    the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in the
-    disc; nothing is subtracted since rho < 1).  If the contour passes too
-    near a zero, rho is nudged by multiples of 1e-3 before giving up and
-    returning an uncertified report.
+    the contour; certification requires the proven lower bound of its modulus
+    there to exceed tail_bound(rho, N) * (1+rho)^2, in which case Rouche
+    transfers the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in
+    the disc; nothing is subtracted since rho < 1).  A sampled minimum below
+    that margin deepens the truncation.  If the contour passes too near a
+    zero, rho is nudged by multiples of 1e-3 before giving up and returning
+    an uncertified report.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
+    if n_terms is not None and n_terms > max_terms:
+        raise ValueError(f"n_terms {n_terms} exceeds max_terms {max_terms}")
     label = series.weight.label()
     best_diag = ""
     best = None
@@ -329,28 +341,27 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
         while True:
             tail = series.tail_bound(rho_try, n)
             margin = tail * (1.0 + rho_try) ** 2
-            coeffs = diagonal_poly(series, n)
-            try:
-                winding, min_mod, samples = _adaptive_winding(
-                    coeffs, rho_try, initial_samples, max_samples)
-            except _ContourTrouble as trouble:
-                best_diag = (f"contour at rho={rho_try} came within {trouble.min_mod:.3e} "
-                             f"of a zero (sample budget {max_samples})")
-                break
-            if min_mod > margin:
+            values, dvalues, winding, bound, samples = _contour(
+                diagonal_poly(series, n), rho_try, margin)
+            if bound > margin:
                 zeros = () if not locate or winding == 0 else _locate_zeros(
-                    series, coeffs, rho_try, winding, residual_factor * series.alpha(0))
+                    series, values, dvalues, rho_try, winding, residual_factor * series.alpha(0))
                 notes = [f"contour perturbed to rho={rho_try}"] if offset else []
                 if locate and len(zeros) != winding:
                     notes.append(f"located {len(zeros)} of {winding} certified zeros")
                 return ZeroReport(weight_label=label, rho=rho, rho_used=rho_try,
                                   zero_count=winding, located_zeros=zeros, certified=True,
-                                  n_terms=n, min_contour_modulus=min_mod, tail=tail,
+                                  n_terms=n, min_contour_modulus=bound, tail=tail,
                                   contour_samples=samples, diagnostics="; ".join(notes))
-            if best is None or min_mod > best[0]:
-                best = (min_mod, winding, n, tail, samples, rho_try)
+            sampled = float(np.abs(values).min())
+            if sampled > margin:
+                best_diag = (f"contour at rho={rho_try} came within {sampled:.3e} "
+                             f"of a zero ({samples} samples)")
+                break
+            if best is None or bound > best[0]:
+                best = (max(bound, 0.0), winding, n, tail, samples, rho_try)
             if n >= max_terms:
-                best_diag = (f"tail {tail:.3e} never cleared contour minimum {min_mod:.3e} "
+                best_diag = (f"tail {tail:.3e} never cleared contour minimum {sampled:.3e} "
                              f"at rho={rho_try} within {max_terms} terms")
                 break
             n = min(2 * n, max_terms)
@@ -387,27 +398,10 @@ def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
                          certified=False, note=f"{type(exc).__name__}: {exc}")
 
 
-def worker_count(n_jobs: int) -> int:
-    """Sweep threads: BERGKERN_THREADS (a positive integer) or 4, capped by CPUs and jobs."""
-    env = os.environ.get("BERGKERN_THREADS", "").strip()
-    if env and (not env.isdecimal() or int(env) < 1):
-        raise ValueError(f"BERGKERN_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(int(env) if env else 4, os.cpu_count() or 1, n_jobs))
-
-
 def sweep_step_weights(plateau_values, split_values, rho: float = 0.95):
-    """Zero counts over a grid of plateau weights (value A on [0,x], 1 outside).
-
-    Cells are independent; evaluation is parallelized over a thread pool
-    capped by BERGKERN_THREADS, and results come back in deterministic
-    (A, x) row order regardless of scheduling.
-    """
-    cells = [(float(a), float(x)) for a in plateau_values for x in split_values]
-    workers = worker_count(len(cells))
-    if workers == 1:
-        return [_sweep_one(a, x, rho) for a, x in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ax: _sweep_one(ax[0], ax[1], rho), cells))
+    """Zero counts over a grid of plateau weights (value A on [0,x], 1 outside),
+    in (A, x) row order."""
+    return [_sweep_one(float(a), float(x), rho) for a in plateau_values for x in split_values]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +518,7 @@ def reinhardt_monomial_norm(weight, m: int, j: int, quad_tol: float = 1e-12) -> 
     different integration route from the moment machinery so the identity
     check below compares two independent computations.
     """
+    from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
     key = (weight, m, j)
     if key in _norm_cache:
         return _norm_cache[key]

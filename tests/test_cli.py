@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -48,23 +52,49 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["find-zeros", "--step", "18,0.25", "--rho", "1.5"], {}),
-    (["rouche", "--step", "18,0.25", "--eps", "2"], {}),
-    (["schur", "--step", "18,0.25", "--eps", "0.5"], {}),
-    (["lp-probe", "--step", "18,0.25", "--p", "0.5"], {}),
-    (["kernel-eval", "--step", "18,0.25", "--z", "1.5", "--w", "0"], {}),
-    (["moments", "--step", "18,0.25", "-N", "-3"], {}),
-    (["coeff-check", "--step", "18,0.25", "-N", "5"], {}),
-    (["sweep", "--A", "1:2:1", "--x", "0.3:0.3:0.1"], {"BERGKERN_THREADS": "abc"}),
-], ids=["find-zeros", "rouche", "schur", "lp-probe", "kernel-eval", "moments", "coeff-check",
-        "sweep-threads"])
-def test_bad_input_exits_2_with_message(argv, env, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("argv", [
+    ["find-zeros", "--step", "18,0.25", "--rho", "1.5"],
+    ["rouche", "--step", "18,0.25", "--eps", "2"],
+    ["schur", "--step", "18,0.25", "--eps", "0.5"],
+    ["lp-probe", "--step", "18,0.25", "--p", "0.5"],
+    ["kernel-eval", "--step", "18,0.25", "--z", "1.5", "--w", "0"],
+    ["moments", "--step", "18,0.25", "-N", "-3"],
+    ["coeff-check", "--step", "18,0.25", "-N", "5"],
+], ids=["find-zeros", "rouche", "schur", "lp-probe", "kernel-eval", "moments", "coeff-check"])
+def test_bad_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lp-probe", "--step", "18,0.25", "-N", "4", "--angular", "100000000"],
+    ["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "100000000"],
+    ["lp-probe", "--step", "18,0.25", "-N", "100000000"],
+    ["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "3000", "--angular", "20"],
+    ["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--n-terms", "1000000000"],
+], ids=["lp-angular", "lp-radial", "lp-degree", "lp-gauss-rule", "find-zeros-terms"])
+def test_oversized_input_exits_2_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert peak < 16 * 2 ** 20
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, bergkern.cli; print('scipy.integrate' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("argv, functions", [

@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWeight,
-                      auto_rouche_epsilon, count_zeros_winding, dirac_kernel_value,
+                      auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
                       sweep_step_weights, zeros)
-from bergkern.zeros import min_affine_modulus_on_circle, worker_count
+from bergkern.zeros import min_affine_modulus_on_circle
 
 PI = math.pi
 _polyval = np.polynomial.polynomial.polyval
@@ -297,6 +296,68 @@ def test_near_constant_plateau_has_no_zeros():
 
 
 # --------------------------------------------------------------------------
+# contour lower bound
+# --------------------------------------------------------------------------
+
+def _fine_contour(series, rep, factor):
+    """|p| minimum and winding of the certified polynomial on `factor` x more points."""
+    coeffs = diagonal_poly(series, rep.n_terms)
+    scaled = coeffs * rep.rho_used ** np.arange(len(coeffs))
+    values = np.fft.ifft(scaled, factor * rep.contour_samples, norm="forward")
+    steps = np.angle(np.roll(values, -1) * np.conj(values))
+    return float(np.min(np.abs(values))), int(round(float(np.sum(steps)) / (2.0 * PI)))
+
+
+def test_contour_bound_below_dense_minimum_on_tight_plateau():
+    # --step 11,0.95 at rho 0.99: 2^20 FFT points reach 7.7544e-3, below the
+    # 8.27e-3 that sampling the contour alone reported
+    series = KernelSeries(StepWeight.from_plateau(11.0, 0.95))
+    rep = count_zeros_winding(series, 0.99, locate=False)
+    assert rep.certified and rep.zero_count == 2
+    dense_min, dense_winding = _fine_contour(series, rep, (1 << 20) // rep.contour_samples)
+    assert rep.min_contour_modulus <= dense_min <= 7.7544e-3
+    assert dense_winding == rep.zero_count
+    assert rep.min_contour_modulus > rep.tail * (1.0 + rep.rho_used) ** 2
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.3, max_value=35.0), st.floats(min_value=0.1, max_value=0.9),
+       st.floats(min_value=0.5, max_value=0.99), st.booleans())
+def test_contour_bound_below_finer_minimum(a, x, rho, smooth):
+    weight = StepWeight.from_plateau(a, x)
+    series = KernelSeries(mollify_weight(weight, 0.02) if smooth else weight)
+    rep = count_zeros_winding(series, rho, locate=False)
+    assert rep.certified
+    fine_min, fine_winding = _fine_contour(series, rep, 16)
+    assert 0.0 < rep.min_contour_modulus <= fine_min
+    assert fine_winding == rep.zero_count
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.3, max_value=0.99), st.floats(min_value=0.0, max_value=PI),
+       st.lists(st.complex_numbers(max_magnitude=3.0), max_size=6))
+def test_contour_through_a_zero_is_never_certified(rho, phi, others):
+    # conjugate zeros on |t| = rho (a double real one at phi = 0 or pi)
+    on_circle = rho * complex(math.cos(phi), math.sin(phi))
+    coeffs = np.polynomial.polynomial.polyfromroots([on_circle, on_circle.conjugate(), *others])
+    assert zeros._contour(coeffs, rho, 0.0)[3] <= 0.0
+
+
+def test_contour_away_from_zeros_counts_them():
+    coeffs = np.polynomial.polynomial.polyfromroots([0.5, -0.2 + 0.3j, 0.9j, 1.5])
+    values, dvalues, winding, bound, samples = zeros._contour(coeffs, 0.7, 0.0)
+    assert (winding, samples) == (2, 4096)
+    assert 0.0 < bound <= float(np.min(np.abs(values)))
+    assert np.allclose(values, np.polynomial.polynomial.polyval(
+        0.7 * np.exp(2j * PI * np.arange(samples) / samples), coeffs), rtol=0, atol=1e-13)
+
+
+def test_n_terms_beyond_max_terms_rejected(step18_series):
+    with pytest.raises(ValueError, match="max_terms"):
+        count_zeros_winding(step18_series, 0.9, n_terms=10 ** 9)
+
+
+# --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
 
@@ -322,17 +383,6 @@ def test_sweep_respects_thread_env(monkeypatch):
     monkeypatch.setenv("BERGKERN_THREADS", "1")
     cells = sweep_step_weights([1.0], [0.3, 0.6], rho=0.5)
     assert [c.split for c in cells] == [0.3, 0.6]
-
-
-def test_worker_count_clamps_and_validates_env(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.setenv("BERGKERN_THREADS", "100000")
-    assert worker_count(3) == min(3, cpus)
-    assert worker_count(10 ** 6) == cpus
-    for bad in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv("BERGKERN_THREADS", bad)
-        with pytest.raises(ValueError):
-            worker_count(3)
 
 
 # --------------------------------------------------------------------------
