@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -33,14 +34,9 @@ S_BOUND_EXACT = 391.0 / (1001.0 * math.pi)
 # dense-sampling / bisection oracle for the one zero of the plateau kernel
 STEP_ZERO_ORACLE = -0.476874666838925
 
-_report_cache: dict = {}
-
-
-def _zero_report(weight, rho, **kw):
-    key = (weight, rho, tuple(sorted(kw.items())))
-    if key not in _report_cache:
-        _report_cache[key] = count_zeros_winding(KernelSeries(weight), rho, **kw)
-    return _report_cache[key]
+@cache
+def _zero_report(weight, rho):
+    return count_zeros_winding(KernelSeries(weight), rho)
 
 
 @dataclass

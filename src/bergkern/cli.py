@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .kernel import KernelSeries, ToleranceError, kernel_eval
+from .kernel import MAX_TERMS, KernelSeries, ToleranceError, kernel_eval
 from .regularity import (CoefficientSequence, decompose_b, necessary_check, schur_bound_check,
                          sufficient_check)
 from .weights import (ConstantWeight, StepWeight, WeightError, QuadratureError, load_weight,
@@ -125,6 +125,8 @@ def _cmd_kernel_eval(args, parser) -> int:
 
 def _cmd_moments(args, parser) -> int:
     weight = resolve_weight(args, parser)
+    if args.n_terms > MAX_TERMS:
+        raise ValueError(f"-N {args.n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
     try:
         table = moment_table(weight, args.n_terms, tol=args.tol, method=args.method)
     except QuadratureError as exc:

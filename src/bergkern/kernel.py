@@ -21,6 +21,8 @@ import numpy as np
 
 from .weights import alphas_closed_form
 
+MAX_TERMS = 400_000     # coefficient budget of every truncation and coefficient request
+
 
 class ToleranceError(RuntimeError):
     """Requested truncation tolerance unreachable within the term budget."""
@@ -45,17 +47,17 @@ def tail_bound(c: float, rho: float, n: int) -> float:
     return (c / math.pi) * rho ** (n + 1) * ((n + 2) - (n + 1) * rho) / (1.0 - rho) ** 2
 
 
-def terms_for_tolerance(c: float, rho: float, tol: float, max_terms: int = 400_000) -> int:
-    """Smallest n with tail_bound(c, rho, n) <= tol (monotone in n)."""
+def terms_for_tolerance(c: float, rho: float, tol: float) -> int:
+    """Smallest n <= MAX_TERMS with tail_bound(c, rho, n) <= tol (monotone in n)."""
     if rho == 0.0:
         return 0
-    if tail_bound(c, rho, max_terms) > tol:
+    if tail_bound(c, rho, MAX_TERMS) > tol:
         raise ToleranceError(
-            f"tail bound {tail_bound(c, rho, max_terms):.3e} at {max_terms} terms exceeds tol {tol:.3e}",
-            achieved=tail_bound(c, rho, max_terms), n_used=max_terms)
+            f"tail bound {tail_bound(c, rho, MAX_TERMS):.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}",
+            achieved=tail_bound(c, rho, MAX_TERMS), n_used=MAX_TERMS)
     lo, hi = 0, 1
     while tail_bound(c, rho, hi) > tol:
-        lo, hi = hi, min(2 * hi, max_terms)
+        lo, hi = hi, min(2 * hi, MAX_TERMS)
     while lo < hi:
         mid = (lo + hi) // 2
         if tail_bound(c, rho, mid) <= tol:
@@ -68,22 +70,21 @@ def terms_for_tolerance(c: float, rho: float, tol: float, max_terms: int = 400_0
 class KernelSeries:
     """Coefficient cache for one weight, grown on demand.
 
-    The instance is append-only: ``alphas(n)`` may extend the cached prefix
-    but never mutates existing entries, so concurrent readers are safe.
+    The cache starts empty; ``alphas(n)`` extends it, for n up to MAX_TERMS,
+    and never mutates existing entries.
 
     Given explicit ``coeffs`` (alpha_0..alpha_M before ``scale``), the series
     holds exactly those M+1 terms and ``explicit`` is True: they are not the
     weight's own coefficients, so no exact fact about the weight applies.
     """
 
-    def __init__(self, weight, initial_terms: int = 64, scale: float = 1.0, coeffs=None):
+    def __init__(self, weight, scale: float = 1.0, coeffs=None):
         if scale <= 0:
             raise ValueError("scale factor must be positive")
         self.weight = weight
         self.scale = scale
         self._given = None if coeffs is None else np.asarray(coeffs, dtype=float)
-        self._alphas = scale * (alphas_closed_form(weight, initial_terms) if coeffs is None
-                                else self._given)
+        self._alphas = np.empty(0) if coeffs is None else scale * self._given
         # Effective constant for the tail majorant: sup alpha_n*pi/(n+1).
         self.tail_constant = scale * weight.alpha_bound
         if self.explicit:
@@ -101,6 +102,8 @@ class KernelSeries:
             if self.explicit:
                 raise ValueError(f"series with {len(self._alphas)} explicit coefficients "
                                  f"has no alpha_{n_max}")
+            if n_max > MAX_TERMS:
+                raise ValueError(f"coefficient index {n_max} exceeds MAX_TERMS = {MAX_TERMS}")
             self._alphas = self.scale * alphas_closed_form(
                 self.weight, max(n_max, 2 * len(self._alphas)))
         return self._alphas[: n_max + 1]
@@ -114,8 +117,7 @@ class KernelSeries:
     def scaled(self, factor: float) -> "KernelSeries":
         """Series with all coefficients multiplied by factor > 0 (used by the
         scale-invariance checks; zero sets and verdicts must not move)."""
-        return KernelSeries(self.weight, initial_terms=max(len(self._alphas) - 1, 2),
-                            scale=self.scale * factor, coeffs=self._given)
+        return KernelSeries(self.weight, scale=self.scale * factor, coeffs=self._given)
 
 
 @dataclass(frozen=True)
@@ -125,24 +127,22 @@ class KernelValue:
     n_used: int
 
 
-def eval_diagonal(series: KernelSeries, t: complex, tol: float = 1e-12,
-                  max_terms: int = 400_000) -> KernelValue:
+def eval_diagonal(series: KernelSeries, t: complex, tol: float = 1e-12) -> KernelValue:
     """F(t) = sum alpha_n t^n with certified truncation error <= tol."""
     rho = abs(t)
     if rho >= 1.0:
         raise ValueError(f"|t| must be < 1, got {rho}")
-    n = terms_for_tolerance(series.tail_constant, rho, tol, max_terms)
+    n = terms_for_tolerance(series.tail_constant, rho, tol)
     coeffs = series.alphas(n)
     val = complex(np.polynomial.polynomial.polyval(complex(t), coeffs.astype(complex)))
     return KernelValue(value=val, err_bound=series.tail_bound(rho, n), n_used=n)
 
 
-def kernel_eval(series: KernelSeries, z: complex, w: complex, tol: float = 1e-12,
-                max_terms: int = 400_000) -> KernelValue:
+def kernel_eval(series: KernelSeries, z: complex, w: complex, tol: float = 1e-12) -> KernelValue:
     """Two-point kernel value K(z,w) = F(z*conj(w)) with certified error."""
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise ValueError("z and w must lie inside the unit disc")
-    return eval_diagonal(series, z * np.conj(w), tol=tol, max_terms=max_terms)
+    return eval_diagonal(series, z * np.conj(w), tol=tol)
 
 
 def diagonal_poly(series: KernelSeries, n: int) -> np.ndarray:

@@ -53,15 +53,11 @@ class DiscreteProjector:
         return self.radii[:, None] * np.exp(1j * self.thetas[None, :])
 
     @cached_property
-    def area_weights(self) -> np.ndarray:
-        """dA weights on the grid: w_r * r * dtheta, shape (R, M)."""
-        dtheta = 2.0 * math.pi / len(self.thetas)
-        return (self.radial_weights * self.radii)[:, None] * np.full(len(self.thetas), dtheta)
-
-    @cached_property
     def weighted_area(self) -> np.ndarray:
-        """lam dA weights on the grid, shape (R, M)."""
-        return self.area_weights * self.lam[:, None]
+        """lam dA weights on the grid: lam * w_r * r * dtheta, shape (R, M)."""
+        dtheta = 2.0 * math.pi / len(self.thetas)
+        area = (self.radial_weights * self.radii)[:, None] * np.full(len(self.thetas), dtheta)
+        return area * self.lam[:, None]
 
     @cached_property
     def radial_powers(self) -> np.ndarray:
@@ -137,12 +133,11 @@ def project(proj: DiscreteProjector, f: np.ndarray) -> ProjectedFunction:
     return ProjectedFunction(coeffs=coeffs, values=values)
 
 
-def lp_norm(proj: DiscreteProjector, f: np.ndarray, p: float, weighted: bool = True) -> float:
-    """(int |f|^p lam dA)^(1/p) on the grid (lam dropped when weighted=False)."""
+def lp_norm(proj: DiscreteProjector, f: np.ndarray, p: float) -> float:
+    """(int |f|^p lam dA)^(1/p) on the grid."""
     if not 1.0 < p < math.inf:
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    w = proj.weighted_area if weighted else proj.area_weights
-    return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
+    return float(np.sum(proj.weighted_area * np.abs(f) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Supported weight shapes:
 * ``SampledWeight(radii, values)`` -- piecewise linear through samples,
   constant extrapolation outside the sampled range
 * ``DiracAugmentedWeight(mass)`` -- Lebesgue weight 1 plus a point mass at
-  the origin; a singular measure, so it bypasses quadrature entirely and
-  only the n=0 moment is modified.
+  the origin; a singular measure, so it has no quadrature path and only
+  the n=0 moment is modified.
 
 Each shape carries its own closed form, so nothing downstream dispatches
 on the type:
@@ -33,6 +33,11 @@ on the type:
   and |g_n| <= G*q^(n+1): every shape is constant (= v_out) on an outer
   annulus [r_hat, 1), so g_n is geometrically small (q = r_hat^2);
 * ``to_json()`` -- the definition-file object read by ``weight_from_json``.
+
+The one numerical route is ``radial_integral``: int_0^1 r^power lam^exponent
+dr by QUADPACK with the weight's breakpoints as break points.  It backs the
+quadrature cross-check of the moments and the monomial norms of the
+inflated domain (``zeros.reinhardt_monomial_norm``).
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ class WeightError(ValueError):
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance.
 
-    Carries the best value/error bound achieved so callers can decide
-    whether the partial result is still usable.
+    Carries the best value, its relative error estimate and the moment
+    index, so callers can decide whether the partial result is still usable.
     """
 
     def __init__(self, message, value=None, err=None, index=None):
@@ -163,13 +168,15 @@ class StepWeight(_FunctionWeight):
 
     def alphas(self, n_max: int) -> np.ndarray:
         """mu_n = (pi/(n+1)) * sum_i v_i * (r_i^(2n+2) - r_{i-1}^(2n+2)),  r_{-1} = 0."""
-        ns = _indices(n_max)
+        # at least two exponents: numpy squares a lone exponent 2 (x*x), which rounds
+        # differently from its power loop, and alphas(0) must equal alphas(n)[0]
+        ns = _indices(max(n_max, 1))
         bps = np.array(self.breakpoints)[:, None]
         vals = np.array(self.values)[:, None]
         prev = np.concatenate([[0.0], self.breakpoints[:-1]])[:, None]
         powers = 2.0 * ns + 2.0
         mus = math.pi / (ns + 1.0) * np.sum(vals * (bps ** powers - prev ** powers), axis=0)
-        return 1.0 / mus
+        return 1.0 / mus[: n_max + 1]
 
     def outer_tail(self):
         if len(self.values) == 1:
@@ -282,8 +289,9 @@ class DiracAugmentedWeight:
         return al
 
     def outer_tail(self):
-        # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero.
-        return 1.0, self.mass / math.pi, 1e-300
+        # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero, and
+        # G*q = mass/pi meets it while G*q^(n+1) for n >= 1 is negligible.
+        return 1.0, self.mass * 2.0 ** 200 / math.pi, 2.0 ** -200
 
     def to_json(self) -> dict:
         return {"type": "dirac", "mass": self.mass}
@@ -362,74 +370,50 @@ def step_alpha_pi_fraction(weight, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# adaptive panel quadrature
+# quadrature
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
+QUAD_LIMIT = 400    # subintervals quad may use; raised so each breakpoint interval can split once
 
 
-def _gauss_panel(f, a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GAUSS_WEIGHTS, f(mid + half * _GAUSS_NODES)))
+def radial_integral(weight, power: int, exponent: int = 1, tol: float = 1e-12):
+    """int_0^1 r^power lam(r)^exponent dr by QUADPACK's QAGP (``scipy.integrate.quad``).
 
-
-def adaptive_segment_integral(f, edges, tol: float, max_panels: int = 4000):
-    """Adaptive Gauss quadrature of f over [edges[0], edges[-1]].
-
-    Interior edges are hard panel boundaries (so discontinuities are never
-    straddled); the panel with the worst local error estimate is bisected
-    until the total estimate meets the relative tolerance.  Raises
-    QuadratureError with the best value/bound when the panel budget runs out.
+    The weight's interior breakpoints / sample knots are passed as break
+    points, so no subinterval straddles a kink or jump.  Returns (value,
+    relative error estimate).  quad accepts no relative tolerance below 50
+    machine epsilons, so it is asked for at least that.  When its estimate
+    misses ``tol``, raises QuadratureError carrying the best value, that
+    estimate and the index n of the monomial r^(2n+1).
     """
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        coarse = _gauss_panel(f, a, b)
-        m = 0.5 * (a + b)
-        fine = _gauss_panel(f, a, m) + _gauss_panel(f, m, b)
-        panels.append([abs(fine - coarse), a, b, fine])
+    from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
+    if isinstance(weight, DiracAugmentedWeight):
+        raise WeightError("point-mass weights have no quadrature path; use the closed form")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    pts = [b for b in weight.breakpoints if 0.0 < b < 1.0]
 
-    while True:
-        total = sum(p[3] for p in panels)
-        err = sum(p[0] for p in panels)
-        scale = max(abs(total), 1e-300)
-        if err <= tol * scale:
-            return total, err / scale
-        if len(panels) >= max_panels:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted (relative error {err / scale:.2e} > {tol:.2e})",
-                value=total, err=err / scale)
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, a, b, _ = panels.pop(worst)
-        for aa, bb in ((a, 0.5 * (a + b)), (0.5 * (a + b), b)):
-            coarse = _gauss_panel(f, aa, bb)
-            m = 0.5 * (aa + bb)
-            fine = _gauss_panel(f, aa, m) + _gauss_panel(f, m, bb)
-            panels.append([abs(fine - coarse), aa, bb, fine])
+    def integrand(r):
+        return r ** power * float(weight.evaluate(r)) ** exponent
+
+    val, err = quad(integrand, 0.0, 1.0, points=pts or None, epsabs=0.0,
+                    epsrel=max(tol, 50.0 * np.finfo(float).eps),
+                    limit=max(QUAD_LIMIT, 2 * len(pts) + 2), full_output=1)[:2]
+    rel = err / abs(val)
+    if not rel <= tol:
+        raise QuadratureError(f"quadrature error estimate {rel:.2e} misses tol {tol:.2e}",
+                              value=val, err=rel, index=(power - 1) // 2)
+    return val, rel
 
 
-def moment_quadrature(weight, n: int, tol: float = 1e-12, max_panels: int = 4000):
+def moment_quadrature(weight, n: int, tol: float = 1e-12):
     """Numerical moment mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr.
 
-    Weight breakpoints / sample knots are hard panel boundaries; for large n
-    the integrand concentrates near r=1 and the adaptive refinement follows
-    it there.  Returns (mu, alpha, relative error bound).
+    Returns (mu, alpha, relative error estimate); see ``radial_integral``.
     """
     if n < 0:
         raise ValueError(f"moment index must be >= 0, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if isinstance(weight, DiracAugmentedWeight):
-        raise WeightError("point-mass weights have no quadrature path; use the closed form")
-    edges = sorted({0.0, 1.0, *(b for b in weight.breakpoints if 0.0 < b < 1.0)})
-
-    def integrand(r):
-        return r ** (2 * n + 1) * weight.evaluate(r)
-
-    try:
-        val, err = adaptive_segment_integral(integrand, edges, tol, max_panels)
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), value=(TWO_PI * exc.value if exc.value else None),
-                              err=exc.err, index=n) from None
+    val, err = radial_integral(weight, 2 * n + 1, tol=tol)
     mu = TWO_PI * val
     return mu, 1.0 / mu, err
 

@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .kernel import KernelSeries, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
-from .weights import (ConstantWeight, DiracAugmentedWeight, SampledWeight, StepWeight,
-                      QuadratureError, as_step, step_alpha_pi_fraction)
+from .weights import (ConstantWeight, SampledWeight, StepWeight, as_step, radial_integral,
+                      step_alpha_pi_fraction)
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -306,8 +308,7 @@ def _locate_zeros(series: KernelSeries, values: np.ndarray, dvalues: np.ndarray,
 
 
 def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int] = None, *,
-                        locate: bool = True, max_terms: int = 400_000,
-                        residual_factor: float = 1e-9) -> ZeroReport:
+                        locate: bool = True, residual_factor: float = 1e-9) -> ZeroReport:
     """Certified zero count of F in |t| < rho via the argument principle.
 
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
@@ -321,8 +322,8 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    if n_terms is not None and n_terms > max_terms:
-        raise ValueError(f"n_terms {n_terms} exceeds max_terms {max_terms}")
+    if n_terms is not None and n_terms > kernel.MAX_TERMS:
+        raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {kernel.MAX_TERMS}")
     label = series.weight.label()
     best_diag = ""
     best = None
@@ -333,7 +334,7 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
         target = 1e-4 * series.alpha(0)
         try:
             n = n_terms if n_terms is not None else terms_for_tolerance(
-                series.tail_constant, rho_try, target, max_terms)
+                series.tail_constant, rho_try, target)
         except Exception as exc:
             best_diag = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
@@ -360,11 +361,11 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
                 break
             if best is None or bound > best[0]:
                 best = (max(bound, 0.0), winding, n, tail, samples, rho_try)
-            if n >= max_terms:
+            if n >= kernel.MAX_TERMS:
                 best_diag = (f"tail {tail:.3e} never cleared contour minimum {sampled:.3e} "
-                             f"at rho={rho_try} within {max_terms} terms")
+                             f"at rho={rho_try} within {kernel.MAX_TERMS} terms")
                 break
-            n = min(2 * n, max_terms)
+            n = min(2 * n, kernel.MAX_TERMS)
     min_mod, winding, n, tail, samples, rho_used = best or (0.0, 0, 0, math.inf, 0, rho)
     return ZeroReport(weight_label=label, rho=rho, rho_used=rho_used, zero_count=winding,
                       located_zeros=(), certified=False, n_terms=n,
@@ -506,37 +507,18 @@ class InflationCheck:
     m_used: int
 
 
-_norm_cache: dict = {}
-
-
-def reinhardt_monomial_norm(weight, m: int, j: int, quad_tol: float = 1e-12) -> float:
+@lru_cache(maxsize=4096)
+def reinhardt_monomial_norm(weight, m: int, j: int) -> float:
     """Squared norm of z^m w^j on the domain {z in D, |w|^2 < lam(z)}.
 
     Integrating the fibre first gives
         (pi/(j+1)) * int_D |z|^(2m) lam(z)^(j+1) dA(z),
-    evaluated here with scipy's adaptive quadrature -- deliberately a
-    different integration route from the moment machinery so the identity
-    check below compares two independent computations.
+    a radial integral evaluated by ``weights.radial_integral`` (relative
+    tolerance 1e-12).  That is the integrator the moment cross-check uses
+    too; the identity check below stays independent, because its other side
+    comes from the closed-form coefficient series, not from quadrature.
     """
-    from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
-    key = (weight, m, j)
-    if key in _norm_cache:
-        return _norm_cache[key]
-    if isinstance(weight, DiracAugmentedWeight):
-        raise ValueError("the inflated domain needs a function weight")
-    pts = [b for b in weight.breakpoints if 0.0 < b < 1.0]
-
-    def integrand(r):
-        return r ** (2 * m + 1) * float(weight.evaluate(r)) ** (j + 1)
-
-    val, err = quad(integrand, 0.0, 1.0, points=pts or None,
-                    epsabs=quad_tol * 1e-2, epsrel=quad_tol, limit=400)
-    if not math.isfinite(val) or (val > 0 and err / val > 100 * quad_tol):
-        raise QuadratureError(f"monomial norm quadrature stalled (err {err:.2e})",
-                              value=val, err=err, index=m)
-    norm = (math.pi / (j + 1)) * 2.0 * math.pi * val
-    _norm_cache[key] = norm
-    return norm
+    return (math.pi / (j + 1)) * 2.0 * math.pi * radial_integral(weight, 2 * m + 1, j + 1)[0]
 
 
 def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> InflationCheck:
@@ -550,7 +532,7 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
     if abs(z) >= 1.0 or abs(t) >= 1.0:
         raise ValueError("z and t must lie inside the unit disc")
     q = complex(z) * np.conj(complex(t))
-    c = weight.comparability_constant
+    c = weight.alpha_bound
     # terms are bounded by (c/pi^2)(m+1)|q|^m, so reuse the series tail rule
     m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
     lhs = complex(sum(q ** m / reinhardt_monomial_norm(weight, m, 0)

@@ -73,7 +73,11 @@ def test_bad_input_exits_2_with_message(argv, capsys):
     ["lp-probe", "--step", "18,0.25", "-N", "100000000"],
     ["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "3000", "--angular", "20"],
     ["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--n-terms", "1000000000"],
-], ids=["lp-angular", "lp-radial", "lp-degree", "lp-gauss-rule", "find-zeros-terms"])
+    ["coeff-check", "--step", "18,0.25", "-N", "1000000000"],
+    ["schur", "--step", "18,0.25", "--eps", "-0.5", "-N", "1000000000"],
+    ["moments", "--step", "18,0.25", "-N", "1000000000"],
+], ids=["lp-angular", "lp-radial", "lp-degree", "lp-gauss-rule", "find-zeros-terms",
+        "coeff-check-terms", "schur-terms", "moments-terms"])
 def test_oversized_input_exits_2_before_allocating(argv, capsys):
     tracemalloc.start()
     try:

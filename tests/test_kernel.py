@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bergkern import (KernelSeries, StepWeight, ToleranceError, diagonal_poly, kernel_eval,
                       tail_bound)
+from bergkern import kernel
 from bergkern.kernel import eval_diagonal, terms_for_tolerance
 
 PI = math.pi
@@ -106,9 +107,10 @@ def test_value_at_affine_root_frozen_oracle(step18_series):
     assert got.value.real == pytest.approx(-0.008798102679501, abs=1e-11)
 
 
-def test_tolerance_unreachable_raises_with_achieved_bound(step18_series):
+def test_tolerance_unreachable_raises_with_achieved_bound(step18_series, monkeypatch):
+    monkeypatch.setattr(kernel, "MAX_TERMS", 100)
     with pytest.raises(ToleranceError) as exc_info:
-        kernel_eval(step18_series, 0.99, 0.99, tol=1e-30, max_terms=100)
+        kernel_eval(step18_series, 0.99, 0.99, tol=1e-30)
     assert exc_info.value.achieved > 1e-30
 
 
@@ -165,7 +167,7 @@ def test_diagonal_poly_rejects_small_n(step18_series):
 # --------------------------------------------------------------------------
 
 def test_series_cache_extends_consistently(step18):
-    series = KernelSeries(step18, initial_terms=4)
+    series = KernelSeries(step18)
     first = series.alphas(3).copy()
     extended = series.alphas(600)
     assert extended[:4] == pytest.approx(first, rel=0, abs=0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, SampledWeight,
                       StepWeight, WeightError, load_weight, moment_quadrature, moment_table,
                       weight_from_json, weight_to_json)
+from bergkern import weights
 from bergkern.weights import alphas_closed_form, step_alpha_pi_fraction
 from bergkern.zeros import mollify_weight
 
@@ -76,9 +77,10 @@ def test_quadrature_large_index_concentrated_near_one(step18):
     assert err <= 1e-12
 
 
-def test_quadrature_budget_failure_carries_best_bound(step18):
+def test_quadrature_budget_failure_carries_best_bound(step18, monkeypatch):
+    monkeypatch.setattr(weights, "QUAD_LIMIT", 4)
     with pytest.raises(QuadratureError) as exc_info:
-        moment_quadrature(step18, 400, tol=1e-14, max_panels=4)
+        moment_quadrature(step18, 400, tol=1e-14)
     assert exc_info.value.err is not None and exc_info.value.err > 1e-14
     assert exc_info.value.index == 400
 
@@ -146,6 +148,7 @@ def test_alphas_closed_form_matches_entrywise(step18):
     StepWeight(breakpoints=(0.2, 0.6, 1.0), values=(18.0, 0.5, 1.0)),
     mollify_weight(StepWeight.from_plateau(18.0, 0.25), 1e-3),
     DiracAugmentedWeight(10.0),
+    StepWeight.from_plateau(2.0, 0.4),
 ])
 def test_alphas_prefix_stable(weight):
     # KernelSeries grows its cache by recomputing a longer prefix
@@ -209,6 +212,36 @@ def test_dirac_moments():
     al = alphas_closed_form(w, 3)
     assert al[0] == pytest.approx(1.0 / (PI + 4.0), rel=1e-15)
     assert al[2] == pytest.approx(3.0 / PI, rel=1e-15)
+
+
+# --------------------------------------------------------------------------
+# outer-annulus data
+# --------------------------------------------------------------------------
+
+_positive = st.floats(min_value=0.1, max_value=50.0)
+_any_weight = st.one_of(
+    st.builds(ConstantWeight, _positive),
+    st.builds(StepWeight.from_plateau, _positive, st.floats(min_value=0.02, max_value=0.98)),
+    st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.3), _positive),
+             min_size=2, max_size=4).map(lambda segs: StepWeight(
+                 breakpoints=tuple(np.cumsum([g for g, _ in segs]) / sum(g for g, _ in segs)),
+                 values=tuple(v for _, v in segs))),
+    st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.19), _positive),
+             min_size=2, max_size=5).map(lambda knots: SampledWeight(
+                 radii=tuple(np.cumsum([g for g, _ in knots])), values=tuple(v for _, v in knots))),
+    st.builds(DiracAugmentedWeight, st.floats(min_value=0.0, max_value=50.0)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight=_any_weight)
+def test_outer_tail_bounds_every_term(weight):
+    # alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1) for every n >= 0
+    v_out, big_g, q = weight.outer_tail()
+    n = np.arange(201)
+    g = (n + 1) / (PI * weight.alphas(200)) - v_out
+    rounding = 1e-12 * (v_out + big_g * q)
+    assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) + rounding)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWe
                       auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
-                      sweep_step_weights, zeros)
+                      WeightError, sweep_step_weights, zeros)
 from bergkern.zeros import min_affine_modulus_on_circle
 
 PI = math.pi
@@ -353,7 +353,7 @@ def test_contour_away_from_zeros_counts_them():
 
 
 def test_n_terms_beyond_max_terms_rejected(step18_series):
-    with pytest.raises(ValueError, match="max_terms"):
+    with pytest.raises(ValueError, match="MAX_TERMS"):
         count_zeros_winding(step18_series, 0.9, n_terms=10 ** 9)
 
 
@@ -507,3 +507,8 @@ def test_reinhardt_norm_constant_weight_exact():
 def test_inflation_rejects_outside_disc(step18):
     with pytest.raises(ValueError):
         inflation_check(step18, 1.1, 0.0)
+
+
+def test_inflation_rejects_point_mass():
+    with pytest.raises(WeightError, match="point-mass"):
+        inflation_check(DiracAugmentedWeight(1.0), 0.3, 0.2)
