@@ -2,7 +2,7 @@
 
 Each criterion function recomputes its quantities from scratch through the
 public API and compares against independently derived expectations
-(closed-form fractions, dense-sampling oracles, direct quadrature).  The
+(closed-form rationals, dense-sampling oracles, direct quadrature).  The
 same table backs the test suite and the ``repro-all`` CLI subcommand.
 """
 

@@ -41,22 +41,22 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
 
 
+MAX_RANGE_POINTS = 100_000     # points of one start:stop:step range, and cells of a sweep
+
+
 def parse_range(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
-    if step <= 0:
-        raise argparse.ArgumentTypeError("range step must be positive")
+    if not 0.0 < step < math.inf:
+        raise argparse.ArgumentTypeError("range step must be positive and finite")
     if stop < start:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: stop is below start")
+    if not (stop - start) / step < MAX_RANGE_POINTS:    # also catches inf and nan
+        raise argparse.ArgumentTypeError(f"range {text!r} is not finite or has more than "
+                                         f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS} points")
     return np.arange(start, stop + 0.5 * step, step)
-
-
-def _add_weight_args(p: argparse.ArgumentParser):
-    p.add_argument("--weight", help="weight JSON file, or 'constant1' / 'constant:V'")
-    p.add_argument("--step", help="shorthand for a plateau weight: A,x "
-                                  "(value A on [0,x], 1 outside)")
 
 
 def resolve_weight(args, parser: argparse.ArgumentParser):
@@ -82,13 +82,16 @@ def resolve_weight(args, parser: argparse.ArgumentParser):
         parser.error(f"--weight: {exc}")
 
 
-def emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def emit_csv(comment: str, header: list, rows: list, out: str | None) -> None:
@@ -97,11 +100,7 @@ def emit_csv(comment: str, header: list, rows: list, out: str | None) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(buf.getvalue(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +184,9 @@ def _cmd_rouche(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    if len(args.A) * len(args.x) > MAX_RANGE_POINTS:
+        raise ValueError(f"sweep grid of {len(args.A)} x {len(args.x)} cells exceeds "
+                         f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
     cells = sweep_step_weights(args.A, args.x, rho=args.rho)
     rows = [[f"{c.plateau:.10g}", f"{c.split:.10g}", f"{c.rho:.10g}",
              "" if c.zero_count is None else c.zero_count,
@@ -195,10 +197,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_dirac(args, parser) -> int:
-    try:
-        result = dirac_zero_threshold(args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
+    result = dirac_zero_threshold(args.k)
     emit_json({"mass": result.mass, "threshold": result.threshold,
                "has_zero_in_disc": result.has_zero_in_disc,
                "zero_location": result.zero_location, "units": TRUE_UNITS}, args.out)
@@ -331,95 +330,75 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel-eval", help="evaluate the kernel at (z, w)")
-    _add_weight_args(p)
+    def command(name, func, summary, weight=True):
+        p = sub.add_parser(name, help=summary)
+        if weight:
+            p.add_argument("--weight", help="weight JSON file, or 'constant1' / 'constant:V'")
+            p.add_argument("--step", help="shorthand for a plateau weight: A,x "
+                                          "(value A on [0,x], 1 outside)")
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("kernel-eval", _cmd_kernel_eval, "evaluate the kernel at (z, w)")
     p.add_argument("--z", type=parse_complex, required=True)
     p.add_argument("--w", type=parse_complex, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_kernel_eval)
 
-    p = sub.add_parser("moments", help="moment table mu_n, alpha_n as CSV")
-    _add_weight_args(p)
+    p = command("moments", _cmd_moments, "moment table mu_n, alpha_n as CSV")
     p.add_argument("-N", "--n-terms", type=int, default=20)
     p.add_argument("--method", choices=("auto", "quadrature"), default="auto")
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative tolerance for the quadrature path")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("find-zeros", help="certified zero count inside |t| < rho")
-    _add_weight_args(p)
+    p = command("find-zeros", _cmd_find_zeros, "certified zero count inside |t| < rho")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n-terms", type=int, default=None)
     p.add_argument("--no-locate", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_find_zeros)
 
-    p = sub.add_parser("rouche", help="zero-existence certificate on |t| = 1-eps")
-    _add_weight_args(p)
+    p = command("rouche", _cmd_rouche, "zero-existence certificate on |t| = 1-eps")
     p.add_argument("--eps", type=float, default=None,
                    help="ring parameter; omitted = auto-search a log grid in [0.001, 0.03]")
     p.add_argument("--n-cutoff", type=int, default=400)
     p.add_argument("--scaled-units", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_rouche)
 
-    p = sub.add_parser("sweep", help="zero counts over a plateau-weight grid")
+    p = command("sweep", _cmd_sweep, "zero counts over a plateau-weight grid", weight=False)
     p.add_argument("--A", type=parse_range, required=True, metavar="start:stop:step")
     p.add_argument("--x", type=parse_range, required=True, metavar="start:stop:step")
     p.add_argument("--rho", type=float, default=0.95)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("dirac", help="zero threshold for the point-mass weight")
+    p = command("dirac", _cmd_dirac, "zero threshold for the point-mass weight", weight=False)
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dirac)
 
-    p = sub.add_parser("inflate-check", help="sliced 2-D kernel vs weighted kernel")
-    _add_weight_args(p)
+    p = command("inflate-check", _cmd_inflate_check, "sliced 2-D kernel vs weighted kernel")
     p.add_argument("--z", type=parse_complex, required=True)
     p.add_argument("--t", type=parse_complex, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_inflate_check)
 
-    p = sub.add_parser("schur", help="Schur ratio grid against the closed-form constant")
-    _add_weight_args(p)
+    p = command("schur", _cmd_schur, "Schur ratio grid against the closed-form constant")
     p.add_argument("--sequence", choices=("diff", "alpha", "ones"), default="diff",
                    help="diff = first differences of the weight's coefficients (default)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--grid", type=parse_range, default=parse_range("0:0.99:0.01"),
                    metavar="start:stop:step")
     p.add_argument("-N", "--n-terms", type=int, default=400)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_schur)
 
-    p = sub.add_parser("coeff-check", help="coefficient-level regularity diagnostics")
-    _add_weight_args(p)
+    p = command("coeff-check", _cmd_coeff_check, "coefficient-level regularity diagnostics")
     p.add_argument("-N", "--n-terms", type=int, default=500)
     p.add_argument("--scaled-units", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_coeff_check)
 
-    p = sub.add_parser("lp-probe", help="L^p ratio probe of the discrete projection")
-    _add_weight_args(p)
+    p = command("lp-probe", _cmd_lp_probe, "L^p ratio probe of the discrete projection")
     p.add_argument("--p", default="1.5,2,3,4", help="comma-separated exponents")
     p.add_argument("-N", "--n-terms", type=int, default=60)
     p.add_argument("--radial", type=int, default=200)
     p.add_argument("--angular", type=int, default=None)
     p.add_argument("--functions", help="JSON file with a list of test-function specs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lp_probe)
 
-    p = sub.add_parser("repro-all", help="run every acceptance criterion")
+    p = command("repro-all", _cmd_repro_all, "run every acceptance criterion", weight=False)
     p.add_argument("--only", help="comma-separated criterion ids")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="sensitivity row: multiply alpha_0 by (1+PCT)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_repro_all)
 
     return parser
 

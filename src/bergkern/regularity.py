@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -177,9 +178,12 @@ class SchurIntegral:
         return self.value + self.tail
 
 
+@lru_cache(maxsize=8)
 def _beta_factors(length: int, epsilon: float) -> np.ndarray:
-    """B(n+1, eps+1) for n = 0..length-1."""
-    return np.exp(np.array([log_beta(k + 1.0, epsilon + 1.0) for k in range(length)]))
+    """B(n+1, eps+1) for n = 0..length-1, read-only and cached per (length, eps)."""
+    beta = np.exp(np.array([log_beta(k + 1.0, epsilon + 1.0) for k in range(length)]))
+    beta.flags.writeable = False
+    return beta
 
 
 def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) -> SchurIntegral:
@@ -191,16 +195,11 @@ def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) ->
     = 1/(eps+1) and |beta_n| <= sup |beta|.
     """
     _check_epsilon(epsilon)
-    return _schur_integral(seq, epsilon, z_radius, _beta_factors(len(seq.betas), epsilon))
-
-
-def _schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float,
-                    beta: np.ndarray) -> SchurIntegral:
-    """schur_integral with the Beta factors B(n+1, eps+1) given."""
     if not 0.0 <= z_radius < 1.0:
         raise ValueError(f"need |z| < 1, got {z_radius}")
     n = np.arange(len(seq.betas))
-    terms = np.abs(seq.betas) ** 2 * z_radius ** (2 * n) * math.pi * beta
+    terms = np.abs(seq.betas) ** 2 * z_radius ** (2 * n) * math.pi \
+        * _beta_factors(len(seq.betas), epsilon)
     value = float(np.sum(terms))
     if z_radius == 0.0:
         tail = 0.0
@@ -266,12 +265,8 @@ def schur_bound_check(seq: CoefficientSequence, epsilon: float, grid) -> SchurRe
     """Empirical sup of I(eps,z)/(1-|z|^2)^eps over a radius grid vs the
     closed-form constant (after normalizing by sup |beta|^2)."""
     theoretical = schur_theoretical_constant(epsilon)
-    beta = _beta_factors(len(seq.betas), epsilon)
     radii = tuple(float(r) for r in grid)
-    ratios = []
-    for r in radii:
-        integ = _schur_integral(seq, epsilon, r, beta)
-        ratios.append(integ.upper / (1.0 - r ** 2) ** epsilon)
+    ratios = [schur_integral(seq, epsilon, r).upper / (1.0 - r ** 2) ** epsilon for r in radii]
     empirical = max(ratios)
     sup = seq.sup_abs()
     return SchurReport(epsilon=epsilon, z_grid=radii, ratios=tuple(ratios),

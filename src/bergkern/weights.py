@@ -32,6 +32,10 @@ on the type:
 * ``outer_tail()`` -- (v_out, G, q) with alpha_n = (n+1)/(pi*(v_out + g_n))
   and |g_n| <= G*q^(n+1): every shape is constant (= v_out) on an outer
   annulus [r_hat, 1), so g_n is geometrically small (q = r_hat^2);
+* ``outer_tail_terms()`` -- the pairs (c_i, q_i) with g_n = sum c_i q_i^(n+1)
+  exactly, each float within one rounding of its exact value: none for
+  the constant, (v_i - v_{i+1}, b_i^2) over the nonzero jumps of a step;
+  None for sampled and point-mass shapes, whose g_n is no such sum;
 * ``to_json()`` -- the definition-file object read by ``weight_from_json``.
 
 The one numerical route is ``radial_integral``: int_0^1 r^power lam^exponent
@@ -45,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -77,6 +80,13 @@ class QuadratureError(RuntimeError):
 
 def _indices(n_max: int) -> np.ndarray:
     return np.arange(n_max + 1, dtype=float)
+
+
+def _frozen_arrays(*columns):
+    arrays = tuple(np.array(c) for c in columns)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class _FunctionWeight:
@@ -116,6 +126,9 @@ class ConstantWeight(_FunctionWeight):
     def outer_tail(self):
         return self.value, 0.0, 0.0
 
+    def outer_tail_terms(self):
+        return ()
+
     def to_json(self) -> dict:
         return {"type": "constant", "value": self.value}
 
@@ -144,6 +157,8 @@ class StepWeight(_FunctionWeight):
             raise WeightError("breakpoints must be strictly increasing and positive")
         if bps[-1] != 1.0:
             raise WeightError("last breakpoint must be 1")
+        # evaluate's lookup tables, built once; not fields, so eq and hash ignore them
+        object.__setattr__(self, "_arrays", _frozen_arrays(bps, vals))
 
     @classmethod
     def from_plateau(cls, inner_value: float, split: float, outer_value: float = 1.0) -> "StepWeight":
@@ -157,10 +172,9 @@ class StepWeight(_FunctionWeight):
         return max(max(self.values), 1.0 / min(self.values))
 
     def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        idx = np.searchsorted(np.array(self.breakpoints), r, side="left")
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.array(self.values)[idx]
+        bps, vals = self._arrays
+        idx = np.searchsorted(bps, np.asarray(r, dtype=float), side="left")
+        return vals[np.clip(idx, 0, len(vals) - 1)]
 
     def label(self) -> str:
         segs = ",".join(f"({b:g},{v:g})" for b, v in zip(self.breakpoints, self.values))
@@ -183,6 +197,11 @@ class StepWeight(_FunctionWeight):
             return self.values[0], 0.0, 0.0
         jumps = sum(abs(v1 - v2) for v1, v2 in zip(self.values, self.values[1:]))
         return self.values[-1], jumps, self.breakpoints[-2] ** 2
+
+    def outer_tail_terms(self):
+        # summation by parts: sum_i v_i (b_i^p - b_{i-1}^p) = v_out + sum_i (v_i - v_{i+1}) b_i^p
+        return tuple((v1 - v2, b * b) for b, v1, v2
+                     in zip(self.breakpoints, self.values, self.values[1:]) if v1 != v2)
 
     def to_json(self) -> dict:
         segments = [[b, v] for b, v in zip(self.breakpoints, self.values)]
@@ -214,6 +233,7 @@ class SampledWeight(_FunctionWeight):
             raise WeightError("sample radii must lie in [0,1)")
         if any(not (v > 0 and math.isfinite(v)) for v in vv):
             raise WeightError("sample values must be strictly positive")
+        object.__setattr__(self, "_arrays", _frozen_arrays(rr, vv))
 
     @property
     def comparability_constant(self) -> float:
@@ -224,8 +244,7 @@ class SampledWeight(_FunctionWeight):
         return tuple(r for r in self.radii if r > 0.0) + (1.0,)
 
     def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.interp(r, self.radii, self.values)
+        return np.interp(np.asarray(r, dtype=float), *self._arrays)
 
     def label(self) -> str:
         return f"sampled[{len(self.radii)} pts, r<={self.radii[-1]:g}]"
@@ -256,6 +275,9 @@ class SampledWeight(_FunctionWeight):
     def outer_tail(self):
         v_out = self.values[-1]
         return v_out, v_out + max(self.values), self.radii[-1] ** 2
+
+    def outer_tail_terms(self):
+        return None
 
     def to_json(self) -> dict:
         return {"type": "sampled", "radii": list(self.radii), "values": list(self.values)}
@@ -292,6 +314,9 @@ class DiracAugmentedWeight:
         # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero, and
         # G*q = mass/pi meets it while G*q^(n+1) for n >= 1 is negligible.
         return 1.0, self.mass * 2.0 ** 200 / math.pi, 2.0 ** -200
+
+    def outer_tail_terms(self):
+        return None
 
     def to_json(self) -> dict:
         return {"type": "dirac", "mass": self.mass}
@@ -344,29 +369,6 @@ class MomentTable:
             if not (lo <= e.alpha <= hi):
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# exact rationals
-# ---------------------------------------------------------------------------
-
-def step_alpha_pi_fraction(weight, n: int) -> Fraction:
-    """alpha_n * pi as an exact rational, for steps with rational data.
-
-    The step moments are rational multiples of pi, so signs of coefficient
-    combinations (first/second differences) can be certified exactly even
-    where float64 cancels to roundoff noise.
-    """
-    if n < 0:
-        raise ValueError(f"moment index must be >= 0, got {n}")
-    w = as_step(weight)
-    acc = Fraction(0)
-    prev = Fraction(0)
-    for b, v in zip(w.breakpoints, w.values):
-        fb = Fraction(b).limit_denominator(10**12)
-        acc += Fraction(v).limit_denominator(10**12) * (fb ** (2 * n + 2) - prev ** (2 * n + 2))
-        prev = fb
-    return (n + 1) / acc  # alpha_n * pi = (n+1) / (acc)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,11 @@ import numpy as np
 
 from . import kernel
 from .kernel import KernelSeries, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
-from .weights import (ConstantWeight, SampledWeight, StepWeight, as_step, radial_integral,
-                      step_alpha_pi_fraction)
+from .weights import SampledWeight, StepWeight, as_step, radial_integral
 
 _polyval = np.polynomial.polynomial.polyval
+_U = 0.5 * np.finfo(float).eps               # unit roundoff
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +55,51 @@ class SecondDifferenceSummary:
     remainder_bound: float       # certified bound on the k > n_cutoff tail
     s_bound: float               # certified upper bound on the full series sum
     all_negative: bool
-    sign_certified: bool         # True when every sign up to n_cutoff was checked exactly
+    sign_certified: bool         # True when every sign up to n_cutoff is proven from the weight data
     first_difference_limit: float  # lim_k (alpha_k - alpha_{k-1}) = 1/(pi * outer value)
 
 
-def _second_difference_signs_exact(weight, n_cutoff: int):
-    """Exact rational sign check for piecewise-constant weights.
+def _gamma(m):      # Higham's gamma_m = m u / (1 - m u), the relative error of m roundings
+    return m * _U / (1.0 - m * _U)
 
-    In float64 the late second differences cancel to roundoff noise of
-    arbitrary sign; the step moments are rational multiples of 1/pi, so the
-    signs are decidable exactly.  Returns (all strictly negative, all <= 0).
+
+def _second_difference_signs(v_out: float, terms, n_cutoff: int):
+    """Signs of d2_k = alpha_k - 2 alpha_{k-1} + alpha_{k-2}, k = 2..n_cutoff, and which are proven.
+
+    With g_n = sum c_i q_i^(n+1) (``outer_tail_terms``), Q = max q_i and
+    h_n = sum c_i (q_i/Q)^(n+1) / (v_out + g_n), alpha_n pi = (n+1)/(v_out + g_n) gives
+    pi d2_k = -(Q^(k-1)/v_out) D_k, D_k = (k+1) Q^2 h_k - 2k Q h_{k-1} + (k-1) h_{k-2}: the
+    linear part, whose second differences cancel, drops out and nothing underflows.
+    D_k carries a running error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3): c_i, q_i within one rounding, q_i/Q gamma_3, the powers
+    (q_i/Q)^(n+1) gamma_(4n+3) and Q^(n+1) gamma_(2n+1) (cumulative products), and one
+    subnormal spacing per product that may underflow.  It is first order in gammas below
+    2e-10, so a sign counts as proven where |D_k| exceeds twice it.  Without terms every
+    d2_k is exactly 0.
     """
-    a = [step_alpha_pi_fraction(weight, n) for n in range(n_cutoff + 1)]
-    d2 = [a[k] - 2 * a[k - 1] + a[k - 2] for k in range(2, n_cutoff + 1)]
-    return all(d < 0 for d in d2), all(d <= 0 for d in d2)
+    if not terms:
+        return np.zeros(n_cutoff - 1), np.ones(n_cutoff - 1, dtype=bool)
+    c, q = (np.array(col) for col in zip(*terms))
+    top, n = float(q.max()), np.arange(n_cutoff + 1.0)
+    with np.errstate(all="ignore"):     # an inf or nan bound leaves its sign unproven
+        powers = np.cumprod(np.tile(q / top, (n_cutoff + 1, 1)), axis=0)    # (q_i/Q)^(n+1)
+        qpow = np.cumprod(np.full(n_cutoff + 1, top))                         # Q^(n+1)
+        tail = powers @ c
+        e_tail = (_gamma(4.0 * n + len(c) + 5.0) * (powers @ np.abs(c))
+                  + len(c) * (n + 2.0) * _TINY * (1.0 + np.abs(c).max()))
+        den = v_out + qpow * tail
+        e_den = (qpow * e_tail + _gamma(2.0 * n + 4.0) * qpow * np.abs(tail) + _U * np.abs(den)
+                 + (n + 2.0) * _TINY * (1.0 + np.abs(tail)))
+        h = tail / den
+        e_h = np.where(den > e_den, (e_tail + np.abs(h) * e_den) / (den - e_den), np.inf) \
+            + _U * np.abs(h) + _TINY
+        k = n[2:]
+        parts = ((k + 1.0) * (top * top) * h[2:], 2.0 * k * top * h[1:-1], (k - 1.0) * h[:-2])
+        bound = (_gamma(7) * sum(np.abs(t) for t in parts) + (k + 1.0) * (top * top) * e_h[2:]
+                 + 2.0 * k * top * e_h[1:-1] + (k - 1.0) * e_h[:-2] + 3.0 * _TINY)
+        d = parts[0] - parts[1] + parts[2]
+        # b_i^2 or Q^2 below 2^-500 may be subnormal, where relative bounds fail
+        return -np.sign(d), (np.abs(d) > 2.0 * bound) & (q.min() >= 2.0 ** -500)
 
 
 def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDifferenceSummary:
@@ -80,10 +112,13 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
         sum_{k>N} |d2_k| <= 4 * sum_{m>=N-1} |delta_m|,
     an arithmetico-geometric series summed in closed form.
 
-    When the computed range is one-signed (negative), the partial sum
-    telescopes to (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), which is also
-    the more accurate value to report.  The exact sign check runs only on
-    the weight's own coefficients, never on a series given explicit ones.
+    When the second differences are all <= 0, the partial sum telescopes to
+    (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), which is also the more accurate
+    value to report.  For weights with ``outer_tail_terms`` (constants and
+    steps) every sign up to n_cutoff is proven from the float weight data
+    (``_second_difference_signs``), and that decides ``all_negative`` and the
+    telescoping.  Otherwise, for explicit coefficients, or if some sign stays
+    undecided, the float signs decide and ``sign_certified`` is False.
     """
     if n_cutoff < 2:
         raise ValueError(f"need n_cutoff >= 2, got {n_cutoff}")
@@ -91,39 +126,27 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
     d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
     telescoped = (a[1] - a[0]) - (a[n_cutoff] - a[n_cutoff - 1])
 
-    noise = 16.0 * np.finfo(float).eps * float(a[-1])
-    negative_float = bool(np.all(d2 < noise))
-    sign_certified = False
-    all_negative = telescoping_valid = negative_float
-    if (negative_float and not series.explicit
-            and isinstance(series.weight, (ConstantWeight, StepWeight))):
-        all_negative, telescoping_valid = _second_difference_signs_exact(
-            as_step(series.weight), min(n_cutoff, 600))
-        sign_certified = n_cutoff <= 600    # past 600 the signs are float-only
-
     v_out, big_g, q = series.weight.outer_tail()
-    c = series.tail_constant
-    if q > 0.0 and big_g > 0.0:
-        # 4*K*sum_{m>=N-1}(m+1)q^(m+1) with K = C*G/(pi*v_out)
-        n = n_cutoff
-        remainder = 4.0 * (c * big_g / (math.pi * v_out)) \
-            * q ** n * (n - (n - 1) * q) / (1.0 - q) ** 2
-    else:
-        remainder = 0.0
+    terms = None if series.explicit else series.weight.outer_tail_terms()
+    signs, proven = (d2, False) if terms is None else _second_difference_signs(v_out, terms, n_cutoff)
+    sign_certified = bool(np.all(proven))
+    if not sign_certified:      # float signs, where d2 below rounding noise counts as negative
+        signs = np.where(d2 < 16.0 * np.finfo(float).eps * float(a[-1]), -1.0, 1.0)
+    all_negative, telescoping_valid = bool(np.all(signs < 0)), bool(np.all(signs <= 0))
+    remainder = 0.0
+    if q > 0.0 and big_g > 0.0:     # 4*K*sum_{m>=N-1}(m+1)q^(m+1) with K = C*G/(pi*v_out)
+        remainder = 4.0 * (series.tail_constant * big_g / (math.pi * v_out)) \
+            * q ** n_cutoff * (n_cutoff - (n_cutoff - 1) * q) / (1.0 - q) ** 2
 
     # one-signed (in the <= 0 sense) second differences telescope exactly,
     # which also sidesteps the roundoff noise of the term-by-term |.| sum
-    partial = float(telescoped) if telescoping_valid else float(np.sum(np.abs(d2)))
+    abs_sum = float(np.sum(np.abs(d2)))
+    partial = float(telescoped) if telescoping_valid else abs_sum
     return SecondDifferenceSummary(
-        n_cutoff=n_cutoff,
-        partial_sum=float(np.sum(np.abs(d2))),
-        telescoped_value=float(telescoped),
-        remainder_bound=float(remainder),
-        s_bound=partial + float(remainder),
-        all_negative=all_negative,
-        sign_certified=sign_certified,
-        first_difference_limit=series.scale / (math.pi * v_out),
-    )
+        n_cutoff=n_cutoff, partial_sum=abs_sum, telescoped_value=float(telescoped),
+        remainder_bound=float(remainder), s_bound=partial + float(remainder),
+        all_negative=all_negative, sign_certified=sign_certified,
+        first_difference_limit=series.scale / (math.pi * v_out))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +238,6 @@ class ZeroReport:
 # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 24.2: a
 # power-of-two FFT has normwise relative error lg(m) eta/(1 - lg(m) eta), where
 # eta = u + gamma_4 (sqrt(2) + u) for twiddle factors accurate to u.
-_U = 0.5 * np.finfo(float).eps
 _FFT_ETA = _U + 4.0 * _U / (1.0 - 4.0 * _U) * (math.sqrt(2.0) + _U)
 MAX_CONTOUR_SAMPLES = 1 << 20     # a contour needing more passes through a zero
 

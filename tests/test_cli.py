@@ -109,8 +109,13 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
      {"type": "monomial", "m": 2}),
     (["sweep", "--A", "5:1:1", "--x", "0.3:0.3:0.1"], None),
     (["schur", "--step", "18,0.25", "--eps", "-0.5", "--grid", "0.5:0.1:0.1"], None),
+    (["sweep", "--A", "1:100000000000:1", "--x", "0.5:0.5:1"], None),
+    (["schur", "--step", "18,0.25", "--eps", "-0.5", "--grid", "0:0.99:1e-10"], None),
+    (["sweep", "--A", "1:1000:1", "--x", "0.001:1:0.001"], None),
+    (["sweep", "--A", "1:inf:1", "--x", "0.5:0.5:1"], None),
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
-        "sweep-empty-range", "schur-empty-grid"])
+        "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
+        "sweep-huge-grid", "sweep-infinite-range"])
 def test_usage_errors_exit_2_with_message(argv, functions, tmp_path, capsys):
     spec_file = tmp_path / "fns.json"
     if functions is not None:

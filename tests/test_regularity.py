@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bergkern import (CoefficientSequence, ConstantWeight, decompose_b, log_beta,
                       necessary_check, schur_bound_check, schur_integral,
                       schur_integral_quadrature, sufficient_check)
+from bergkern import regularity
 from bergkern.regularity import schur_theoretical_constant
 
 PI = math.pi
@@ -177,8 +178,11 @@ def test_schur_bound_check_ratios_match_schur_integral(step18):
     grid = np.linspace(0.0, 0.99, 34)
     rep = schur_bound_check(seq, -0.3, grid)
     for r, ratio in zip(grid, rep.ratios):
-        # bit-identical: the hoisted Beta factors are the same numbers
+        # bit-identical: the check calls schur_integral for each radius
         assert ratio == schur_integral(seq, -0.3, r).upper / (1.0 - r ** 2) ** -0.3
+    # the Beta factors are built once per (length, eps) and shared read-only
+    beta = regularity._beta_factors(401, -0.3)
+    assert beta is regularity._beta_factors(401, -0.3) and not beta.flags.writeable
 
 
 def test_schur_bound_check_uniform_sequence():

@@ -10,8 +10,9 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, Sam
                       StepWeight, WeightError, load_weight, moment_quadrature, moment_table,
                       weight_from_json, weight_to_json)
 from bergkern import weights
-from bergkern.weights import alphas_closed_form, step_alpha_pi_fraction
+from bergkern.weights import alphas_closed_form
 from bergkern.zeros import mollify_weight
+from rational_oracle import step_alpha_pi_fraction
 
 PI = math.pi
 
@@ -45,8 +46,6 @@ def test_constant_scaling():
 def test_negative_index_rejected(step18):
     with pytest.raises(ValueError):
         moment_table(step18, -1)
-    with pytest.raises(ValueError):
-        step_alpha_pi_fraction(step18, -1)
     with pytest.raises(ValueError):
         moment_quadrature(step18, -2)
 
@@ -242,6 +241,29 @@ def test_outer_tail_bounds_every_term(weight):
     g = (n + 1) / (PI * weight.alphas(200)) - v_out
     rounding = 1e-12 * (v_out + big_g * q)
     assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) + rounding)
+
+
+def test_outer_tail_terms_sum_to_g_exactly():
+    # g_n = sum_i c_i q_i^(n+1) for steps: checked against the exact rationals
+    weight = StepWeight(breakpoints=(0.25, 0.5, 0.75, 1.0), values=(18.0, 0.5, 0.5, 1.0))
+    v_out = weight.outer_tail()[0]
+    terms = weight.outer_tail_terms()
+    assert terms == ((17.5, 0.0625), (-0.5, 0.5625))      # the zero jump at 0.5 is dropped
+    for n in (0, 1, 7, 40):
+        g = sum(Fraction(c) * Fraction(q) ** (n + 1) for c, q in terms)
+        assert (n + 1) / (Fraction(v_out) + g) == step_alpha_pi_fraction(weight, n)
+    assert ConstantWeight(2.5).outer_tail_terms() == ()
+    assert StepWeight(breakpoints=(1.0,), values=(3.0,)).outer_tail_terms() == ()
+
+
+def test_evaluate_tables_leave_equality_and_hashing_alone():
+    a = SampledWeight(radii=(0.0, 0.5), values=(1.0, 2.0))
+    b = SampledWeight(radii=(0.0, 0.5), values=(1.0, 2.0))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert StepWeight.from_plateau(18.0, 0.25) == StepWeight.from_plateau(18.0, 0.25)
+    assert float(a.evaluate(0.25)) == 1.5
+    with pytest.raises(ValueError):
+        a._arrays[0][0] = 1.0                              # the tables are read-only
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWe
                       auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
-                      WeightError, sweep_step_weights, zeros)
+                      WeightError, kernel, sweep_step_weights, zeros)
 from bergkern.zeros import min_affine_modulus_on_circle
+from rational_oracle import second_difference_signs, step_alpha_pi_fraction
 
 PI = math.pi
 _polyval = np.polynomial.polynomial.polyval
@@ -51,7 +52,6 @@ def test_second_difference_constant_is_zero(const1_series):
 def test_second_difference_brute_force_oracle(step18, step18_series):
     # exact-rational |.| summation to k=450 (remainder ~16^-450) must agree
     # with the certified bound; exact arithmetic sidesteps float noise
-    from bergkern.weights import step_alpha_pi_fraction
     a = [step_alpha_pi_fraction(step18, n) for n in range(451)]
     brute = float(sum(abs(a[k] - 2 * a[k - 1] + a[k - 2]) for k in range(2, 451))) / PI
     sd = second_difference_bound(step18_series, 400)
@@ -59,9 +59,75 @@ def test_second_difference_brute_force_oracle(step18, step18_series):
 
 
 def test_exact_sign_claim_covers_the_whole_cutoff(step18_series):
-    assert second_difference_bound(step18_series, 400).sign_certified
-    # exact signs are checked only up to n = 600; past it the claim is dropped
-    assert not second_difference_bound(step18_series, 1000).sign_certified
+    # the signs are proven from the float data up to any cutoff, MAX_TERMS included
+    for n_cutoff in (400, 1000, kernel.MAX_TERMS):
+        sd = second_difference_bound(step18_series, n_cutoff)
+        assert sd.sign_certified and sd.all_negative
+
+
+def test_mixed_sign_plateau_is_certified_not_negative():
+    sd = second_difference_bound(KernelSeries(StepWeight.from_plateau(11.0, 0.95)), 400)
+    assert sd.sign_certified and not sd.all_negative
+    assert sd.s_bound == pytest.approx(sd.partial_sum + sd.remainder_bound, rel=1e-15)
+
+
+def test_equal_valued_steps_are_certified_flat():
+    weight = StepWeight(breakpoints=(0.3, 0.6, 1.0), values=(2.0, 2.0, 2.0))
+    assert weight.outer_tail_terms() == ()
+    sd = second_difference_bound(KernelSeries(weight), 300)
+    assert sd.sign_certified and not sd.all_negative
+    # every d2 is exactly 0, so the partial sum telescopes to (alpha_1-alpha_0) - (alpha_N-alpha_{N-1})
+    assert sd.s_bound == sd.telescoped_value and abs(sd.s_bound) <= 1e-13
+    signs, proven = zeros._second_difference_signs(2.0, (), 300)
+    assert proven.all() and not signs.any()
+
+
+def test_weights_without_geometric_terms_are_not_sign_certified(step18):
+    for weight in (mollify_weight(step18, 1e-3), DiracAugmentedWeight(10.0)):
+        assert weight.outer_tail_terms() is None
+        assert not second_difference_bound(KernelSeries(weight), 200).sign_certified
+
+
+_DYADIC_SPLITS = st.lists(st.integers(1, 63), min_size=1, max_size=2, unique=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(splits=_DYADIC_SPLITS, values=st.lists(st.integers(1, 64), min_size=3, max_size=3))
+def test_proven_signs_match_the_exact_oracle(splits, values):
+    # two- and three-step weights with dyadic data: breakpoints j/64, values j/8
+    bps = tuple(sorted(j / 64.0 for j in splits)) + (1.0,)
+    weight = StepWeight(breakpoints=bps, values=tuple(v / 8.0 for v in values[:len(bps)]))
+    signs, proven = zeros._second_difference_signs(
+        weight.values[-1], weight.outer_tail_terms(), 400)
+    exact = np.array(second_difference_signs(weight, 400))
+    assert np.array_equal(signs[proven], exact[proven])
+    sd = second_difference_bound(KernelSeries(weight), 400)
+    assert sd.sign_certified == bool(proven.all())
+    if sd.sign_certified:
+        assert sd.all_negative == bool(np.all(exact < 0))
+
+
+@pytest.mark.parametrize("a, k", [(2.0, 10), (2.0, 40), (0.5, 10), (0.5, 20), (18.0, 20)])
+def test_signs_at_a_sign_change_are_never_wrong(a, k):
+    # bisect the plateau radius x to where d2_k changes sign: there d2_k sinks below the
+    # float error of its terms, so float signs are wrong on some nearby x, proven ones never
+    def sign_at(x):
+        w = StepWeight.from_plateau(a, x)
+        return zeros._second_difference_signs(1.0, w.outer_tail_terms(), k)[0][-1]
+
+    lo, hi = 0.05, 0.99
+    s_lo = sign_at(lo)
+    assert sign_at(hi) != s_lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sign_at(mid) == s_lo else (lo, mid)
+    x = np.nextafter(lo, 0.0, dtype=float)
+    for _ in range(24):
+        weight = StepWeight.from_plateau(a, float(x))
+        signs, proven = zeros._second_difference_signs(1.0, weight.outer_tail_terms(), k)
+        exact = np.array(second_difference_signs(weight, k))
+        assert np.array_equal(signs[proven], exact[proven]), x
+        x = np.nextafter(x, 1.0)
 
 
 def test_explicit_coefficients_are_never_sign_certified(step18_series):
