@@ -14,6 +14,7 @@ one-variable function F(t) = sum_n alpha_n t^n throughout and expose
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -51,20 +52,11 @@ def terms_for_tolerance(c: float, rho: float, tol: float) -> int:
     """Smallest n <= MAX_TERMS with tail_bound(c, rho, n) <= tol (monotone in n)."""
     if rho == 0.0:
         return 0
-    if tail_bound(c, rho, MAX_TERMS) > tol:
-        raise ToleranceError(
-            f"tail bound {tail_bound(c, rho, MAX_TERMS):.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}",
-            achieved=tail_bound(c, rho, MAX_TERMS), n_used=MAX_TERMS)
-    lo, hi = 0, 1
-    while tail_bound(c, rho, hi) > tol:
-        lo, hi = hi, min(2 * hi, MAX_TERMS)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(c, rho, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    achieved = tail_bound(c, rho, MAX_TERMS)
+    if achieved > tol:
+        raise ToleranceError(f"tail bound {achieved:.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}",
+                             achieved=achieved, n_used=MAX_TERMS)
+    return bisect.bisect_left(range(MAX_TERMS + 1), True, key=lambda n: tail_bound(c, rho, n) <= tol)
 
 
 class KernelSeries:

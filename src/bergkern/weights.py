@@ -23,15 +23,20 @@ Supported weight shapes:
   the origin; a singular measure, so it has no quadrature path and only
   the n=0 moment is modified.
 
-Each shape carries its own closed form, so nothing downstream dispatches
+Every shape is constant (= v_out) on an outer annulus [r_hat, 1), and
+``alphas_closed_form`` applies one formula to all of them,
+
+    alpha_n = (n+1)/(pi*(v_out + g_n)),   g_n = (2n+2) int_0^1 r^(2n+1) (lam - v_out) dr.
+
+Each shape carries its own closed forms, so nothing downstream dispatches
 on the type:
 
-* ``alphas(n_max)`` -- alpha_0..alpha_n_max, vectorised over n;
+* ``outer_g(n_max)`` -- g_0..g_n_max, vectorised over n: 0 for the constant,
+  mass/pi at n = 0 for the point mass, one ``exp`` per step jump and one
+  ``exp``/``expm1`` pair per sloped interval of a sampled weight;
 * ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
   majorant (the comparability constant; 1 for the point mass);
-* ``outer_tail()`` -- (v_out, G, q) with alpha_n = (n+1)/(pi*(v_out + g_n))
-  and |g_n| <= G*q^(n+1): every shape is constant (= v_out) on an outer
-  annulus [r_hat, 1), so g_n is geometrically small (q = r_hat^2);
+* ``outer_tail()`` -- (v_out, G, q) with |g_n| <= G*q^(n+1), q = r_hat^2;
 * ``outer_tail_terms()`` -- the pairs (c_i, q_i) with g_n = sum c_i q_i^(n+1)
   exactly, each float within one rounding of its exact value: none for
   the constant, (v_i - v_{i+1}, b_i^2) over the nonzero jumps of a step;
@@ -89,17 +94,27 @@ def _frozen_arrays(*columns):
     return arrays
 
 
-class _FunctionWeight:
-    """A weight that is a function comparable to 1."""
+def _normal_powers(exponents: np.ndarray, base):
+    # how many leading exponents p keep base^p above 2^-1022; the rest, far inside the
+    # |c|*O(u) error of a term c*base^p, are left at 0 (exp is ~100x slower on them)
+    return np.searchsorted(exponents, -708.0 / np.log(base), side="right")
+
+
+class _Weight:
+    def alphas(self, n_max: int) -> np.ndarray:
+        return alphas_closed_form(self, n_max)
 
     @property
     def alpha_bound(self) -> float:
-        # the moment sandwich gives alpha_n <= C*(n+1)/pi
+        # the moment sandwich of a function comparable to 1 gives alpha_n <= C*(n+1)/pi
         return self.comparability_constant
+
+    def outer_tail_terms(self):     # None: g_n is no finite geometric sum
+        return None
 
 
 @dataclass(frozen=True)
-class ConstantWeight(_FunctionWeight):
+class ConstantWeight(_Weight):
     value: float = 1.0
 
     def __post_init__(self):
@@ -120,8 +135,8 @@ class ConstantWeight(_FunctionWeight):
     def label(self) -> str:
         return f"constant({self.value:g})"
 
-    def alphas(self, n_max: int) -> np.ndarray:
-        return (_indices(n_max) + 1.0) / (math.pi * self.value)
+    def outer_g(self, n_max: int) -> np.ndarray:
+        return np.zeros(n_max + 1)
 
     def outer_tail(self):
         return self.value, 0.0, 0.0
@@ -134,11 +149,14 @@ class ConstantWeight(_FunctionWeight):
 
 
 @dataclass(frozen=True)
-class StepWeight(_FunctionWeight):
+class StepWeight(_Weight):
     """Piecewise-constant weight: value ``values[i]`` on (breakpoints[i-1], breakpoints[i]].
 
     The last breakpoint must be 1 (the value *at* r=1 is irrelevant, the
-    closing breakpoint is just a representation convention).
+    closing breakpoint is just a representation convention).  Summation by
+    parts turns (n+1)*mu_n/pi = sum_i v_i (b_i^p - b_{i-1}^p), p = 2n+2,
+    b_{-1} = 0, into v_out + g_n with g_n = sum_i (v_i - v_{i+1}) b_i^p over
+    the nonzero jumps.
     """
 
     breakpoints: tuple
@@ -153,7 +171,8 @@ class StepWeight(_FunctionWeight):
             raise WeightError("breakpoints and values must be equal-length and non-empty")
         if any(not (v > 0 and math.isfinite(v)) for v in vals):
             raise WeightError("all segment values must be strictly positive")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or bps[0] <= 0:
+        # written so that a NaN fails them: every comparison with NaN is false
+        if not (all(b1 < b2 for b1, b2 in zip(bps, bps[1:])) and bps[0] > 0):
             raise WeightError("breakpoints must be strictly increasing and positive")
         if bps[-1] != 1.0:
             raise WeightError("last breakpoint must be 1")
@@ -180,28 +199,27 @@ class StepWeight(_FunctionWeight):
         segs = ",".join(f"({b:g},{v:g})" for b, v in zip(self.breakpoints, self.values))
         return f"step[{segs}]"
 
-    def alphas(self, n_max: int) -> np.ndarray:
-        """mu_n = (pi/(n+1)) * sum_i v_i * (r_i^(2n+2) - r_{i-1}^(2n+2)),  r_{-1} = 0."""
-        # at least two exponents: numpy squares a lone exponent 2 (x*x), which rounds
-        # differently from its power loop, and alphas(0) must equal alphas(n)[0]
-        ns = _indices(max(n_max, 1))
-        bps = np.array(self.breakpoints)[:, None]
-        vals = np.array(self.values)[:, None]
-        prev = np.concatenate([[0.0], self.breakpoints[:-1]])[:, None]
-        powers = 2.0 * ns + 2.0
-        mus = math.pi / (ns + 1.0) * np.sum(vals * (bps ** powers - prev ** powers), axis=0)
-        return 1.0 / mus[: n_max + 1]
+    def _jumps(self):
+        return [(v1 - v2, b) for b, v1, v2
+                in zip(self.breakpoints, self.values, self.values[1:]) if v1 != v2]
+
+    def outer_g(self, n_max: int) -> np.ndarray:
+        # exp(p*ln b) is within about (p*|ln b| + 2)u of b^p and p*|ln b|*b^p <= 1/e,
+        # so each term is within |c|*O(u) absolutely, as with pow, for every p
+        p = 2.0 * _indices(n_max) + 2.0
+        g = np.zeros_like(p)
+        for c, b in self._jumps():
+            m = _normal_powers(p, b)
+            g[:m] += c * np.exp(p[:m] * math.log(b))
+        return g
 
     def outer_tail(self):
         if len(self.values) == 1:
             return self.values[0], 0.0, 0.0
-        jumps = sum(abs(v1 - v2) for v1, v2 in zip(self.values, self.values[1:]))
-        return self.values[-1], jumps, self.breakpoints[-2] ** 2
+        return self.values[-1], sum(abs(c) for c, _ in self._jumps()), self.breakpoints[-2] ** 2
 
     def outer_tail_terms(self):
-        # summation by parts: sum_i v_i (b_i^p - b_{i-1}^p) = v_out + sum_i (v_i - v_{i+1}) b_i^p
-        return tuple((v1 - v2, b * b) for b, v1, v2
-                     in zip(self.breakpoints, self.values, self.values[1:]) if v1 != v2)
+        return tuple((c, b * b) for c, b in self._jumps())
 
     def to_json(self) -> dict:
         segments = [[b, v] for b, v in zip(self.breakpoints, self.values)]
@@ -209,12 +227,17 @@ class StepWeight(_FunctionWeight):
 
 
 @dataclass(frozen=True)
-class SampledWeight(_FunctionWeight):
+class SampledWeight(_Weight):
     """Piecewise-linear interpolation through (radii[i], values[i]).
 
     Constant extrapolation below the first and above the last sample; the
     comparability constant comes from the sample extrema, which bound the
-    interpolant as well.
+    interpolant as well.  Integration by parts of f = lam - v_out (0 past
+    the last knot), with q = 2n+3 and s_j the slope on [r_j, r_{j+1}], gives
+
+        g_n = -int_0^1 r^q f'(r) dr / q = sum_j s_j r_{j+1}^q expm1(-q ln(r_{j+1}/r_j)) / q,
+
+    each term a cancellation-free -(r_{j+1}^q - r_j^q).
     """
 
     radii: tuple
@@ -227,9 +250,10 @@ class SampledWeight(_FunctionWeight):
         object.__setattr__(self, "values", vv)
         if len(rr) != len(vv) or len(rr) < 2:
             raise WeightError("need at least two samples")
-        if any(r2 <= r1 for r1, r2 in zip(rr, rr[1:])):
+        # written so that a NaN fails them: every comparison with NaN is false
+        if not all(r1 < r2 for r1, r2 in zip(rr, rr[1:])):
             raise WeightError("sample radii must be strictly increasing")
-        if rr[0] < 0.0 or rr[-1] >= 1.0:
+        if not (rr[0] >= 0.0 and rr[-1] < 1.0):
             raise WeightError("sample radii must lie in [0,1)")
         if any(not (v > 0 and math.isfinite(v)) for v in vv):
             raise WeightError("sample values must be strictly positive")
@@ -249,42 +273,29 @@ class SampledWeight(_FunctionWeight):
     def label(self) -> str:
         return f"sampled[{len(self.radii)} pts, r<={self.radii[-1]:g}]"
 
-    def alphas(self, n_max: int) -> np.ndarray:
-        """Exact moments of the interpolant, one knot interval at a time.
-
-        On [a, b] lam(r) = c0 + c1*r, so with p = 2n+2, q = 2n+3
-        int_a^b r^(2n+1) lam dr = c0*(b^p - a^p)/p + c1*(b^q - a^q)/q,
-        plus the flat pieces [0, r_0] and [r_last, 1].  Each step is
-        vectorised over n; memory stays O(n_max) whatever the knot count.
-        """
-        ns = _indices(n_max)
-        p, q = 2.0 * ns + 2.0, 2.0 * ns + 3.0
-        rr, vv = self.radii, self.values
-        a_p, a_q = rr[0] ** p, rr[0] ** q
-        below = vv[0] * a_p / p
-        inner = np.zeros_like(ns)
-        for a, b, va, vb in zip(rr, rr[1:], vv, vv[1:]):
-            c1 = (vb - va) / (b - a)
-            c0 = va - c1 * a
-            b_p, b_q = b ** p, b ** q
-            inner += c0 * (b_p - a_p) / p + c1 * (b_q - a_q) / q
-            a_p, a_q = b_p, b_q
-        above = vv[-1] * (1.0 - a_p) / p
-        return 1.0 / (TWO_PI * (below + inner + above))
+    def outer_g(self, n_max: int) -> np.ndarray:
+        q = 2.0 * _indices(n_max) + 3.0
+        g = np.zeros_like(q)
+        rr, vv = self._arrays
+        a, b = rr[:-1], rr[1:]
+        with np.errstate(divide="ignore", over="ignore"):
+            log_ratio = np.log1p((b - a) / a)       # ln(b/a) without cancellation; inf at a = 0
+        for s, log_b, lr, m in zip(np.diff(vv) / (b - a), np.log(b), log_ratio, _normal_powers(q, b)):
+            if s != 0.0:
+                g[:m] += s * np.exp(q[:m] * log_b) * np.expm1(q[:m] * -lr)
+        return g / q
 
     def outer_tail(self):
+        # |lam - v_out| <= max_i |v_i - v_out| on [0, r_last] and 0 beyond
         v_out = self.values[-1]
-        return v_out, v_out + max(self.values), self.radii[-1] ** 2
-
-    def outer_tail_terms(self):
-        return None
+        return v_out, max(abs(v - v_out) for v in self.values), self.radii[-1] ** 2
 
     def to_json(self) -> dict:
         return {"type": "sampled", "radii": list(self.radii), "values": list(self.values)}
 
 
 @dataclass(frozen=True)
-class DiracAugmentedWeight:
+class DiracAugmentedWeight(_Weight):
     """Lebesgue weight 1 plus ``mass`` times a point mass at the origin.
 
     Not a function, so there is no comparability constant and no
@@ -305,18 +316,13 @@ class DiracAugmentedWeight:
         # the mass only lowers alpha_0 below 1/pi; every other alpha_n is (n+1)/pi
         return 1.0
 
-    def alphas(self, n_max: int) -> np.ndarray:
-        al = (_indices(n_max) + 1.0) / math.pi
-        al[0] = 1.0 / (math.pi + self.mass)
-        return al
+    def outer_g(self, n_max: int) -> np.ndarray:
+        return np.concatenate([[self.mass / math.pi], np.zeros(n_max)])     # mu_0 = pi + mass
 
     def outer_tail(self):
         # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero, and
         # G*q = mass/pi meets it while G*q^(n+1) for n >= 1 is negligible.
         return 1.0, self.mass * 2.0 ** 200 / math.pi, 2.0 ** -200
-
-    def outer_tail_terms(self):
-        return None
 
     def to_json(self) -> dict:
         return {"type": "dirac", "mass": self.mass}
@@ -446,8 +452,8 @@ def moment_table(weight, n_max: int, tol: float = 1e-12, method: str = "auto") -
 
 
 def alphas_closed_form(weight, n_max: int) -> np.ndarray:
-    """alpha_0..alpha_n_max from the weight's own closed form."""
-    return weight.alphas(n_max)
+    """alpha_n = (n+1)/(pi*(v_out + g_n)) for n = 0..n_max, g_n from the weight's ``outer_g``."""
+    return (_indices(n_max) + 1.0) / (math.pi * (weight.outer_tail()[0] + weight.outer_g(n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,11 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("argv, functions", [
+_NAN_SAMPLED = {"type": "sampled", "radii": [math.nan, 0.5], "values": [2, 1]}
+_NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
+
+
+@pytest.mark.parametrize("argv, payload", [
     (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{missing}"], None),
     (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{file}"],
      [{"type": "radial_power"}]),
@@ -113,13 +117,21 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     (["schur", "--step", "18,0.25", "--eps", "-0.5", "--grid", "0:0.99:1e-10"], None),
     (["sweep", "--A", "1:1000:1", "--x", "0.001:1:0.001"], None),
     (["sweep", "--A", "1:inf:1", "--x", "0.5:0.5:1"], None),
+    (["moments", "--weight", "{file}", "-N", "3"], _NAN_SAMPLED),
+    (["rouche", "--weight", "{file}", "--eps", "0.01"], _NAN_SAMPLED),
+    (["find-zeros", "--weight", "{file}", "--rho", "0.9"], _NAN_SAMPLED),
+    (["moments", "--weight", "{file}", "-N", "3"], _NAN_STEP),
+    (["rouche", "--weight", "{file}", "--eps", "0.01"], _NAN_STEP),
+    (["find-zeros", "--weight", "{file}", "--rho", "0.9"], _NAN_STEP),
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
         "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
-        "sweep-huge-grid", "sweep-infinite-range"])
-def test_usage_errors_exit_2_with_message(argv, functions, tmp_path, capsys):
-    spec_file = tmp_path / "fns.json"
-    if functions is not None:
-        spec_file.write_text(json.dumps(functions))
+        "sweep-huge-grid", "sweep-infinite-range", "moments-nan-radius", "rouche-nan-radius",
+        "find-zeros-nan-radius", "moments-nan-breakpoint", "rouche-nan-breakpoint",
+        "find-zeros-nan-breakpoint"])
+def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
+    spec_file = tmp_path / "input.json"       # a function list or a weight definition
+    if payload is not None:
+        spec_file.write_text(json.dumps(payload))
     argv = [a.format(file=spec_file, missing=tmp_path / "nope.json") for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

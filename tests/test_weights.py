@@ -2,9 +2,11 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, SampledWeight,
                       StepWeight, WeightError, load_weight, moment_quadrature, moment_table,
@@ -15,6 +17,7 @@ from bergkern.zeros import mollify_weight
 from rational_oracle import step_alpha_pi_fraction
 
 PI = math.pi
+U = 2.0 ** -53
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +158,77 @@ def test_alphas_prefix_stable(weight):
         assert np.array_equal(weight.alphas(4000)[:m + 1], weight.alphas(m))
 
 
+def _alpha_mp(weight, n: int):
+    """alpha_n from the float weight data in 50-digit arithmetic, interval by interval."""
+    with mpmath.workdps(50):
+        p, q = 2 * n + 2, 2 * n + 3
+        if isinstance(weight, DiracAugmentedWeight):
+            return 1 / (mpmath.pi + weight.mass) if n == 0 else (n + 1) / mpmath.pi
+        if isinstance(weight, StepWeight):
+            acc, prev = mpmath.mpf(0), mpmath.mpf(0)
+            for b, v in zip(weight.breakpoints, weight.values):
+                acc += v * (mpmath.mpf(b) ** p - prev ** p)
+                prev = mpmath.mpf(b)
+            return (n + 1) / (mpmath.pi * acc)
+        rr = [mpmath.mpf(r) for r in weight.radii]
+        vv = [mpmath.mpf(v) for v in weight.values]
+        acc = vv[0] * rr[0] ** p / p + vv[-1] * (1 - rr[-1] ** p) / p
+        for a, b, va, vb in zip(rr, rr[1:], vv, vv[1:]):
+            c1 = (vb - va) / (b - a)     # lam = c0 + c1*r on [a, b]
+            acc += (va - c1 * a) * (b ** p - a ** p) / p + c1 * (b ** q - a ** q) / q
+        return 1 / (2 * mpmath.pi * acc)
+
+
+@pytest.mark.parametrize("weight", [
+    StepWeight.from_plateau(18.0, 0.25),
+    StepWeight.from_plateau(11.0, 0.95),
+    StepWeight.from_plateau(3.0, 0.9999),
+    StepWeight.from_plateau(30.0, 0.05),
+    StepWeight(breakpoints=(0.2, 0.6, 1.0), values=(18.0, 0.5, 1.0)),
+    mollify_weight(StepWeight.from_plateau(20.0, 0.6), 0.02),
+    mollify_weight(StepWeight.from_plateau(18.0, 0.25), 1e-3),
+    mollify_weight(StepWeight.from_plateau(3.0, 0.98), 0.005),
+    DiracAugmentedWeight(10.0),
+], ids=lambda w: w.label())
+def test_alphas_match_50_digit_reference(weight):
+    # a few u: sums of one power per kink lose up to 3.4e-14 on the smoothed plateaus
+    # here, and sampled terms taken as plain differences b^q - a^q lose up to 6.6e-15
+    alphas = weight.alphas(30000)
+    for n in (0, 1, 2, 3, 10, 100, 1000, 2500, 10000, 30000):
+        exact = _alpha_mp(weight, n)
+        assert abs((alphas[n] - exact) / exact) <= 2e-15, n
+
+
+@pytest.mark.parametrize("weight", [
+    StepWeight(breakpoints=(0.25, 0.5, 0.75, 1.0), values=(18.0, 0.5, 0.5, 1.0)),
+    StepWeight.from_plateau(11.0, 0.9375),
+    StepWeight(breakpoints=(0.125, 0.5, 0.96875, 1.0), values=(30.0, 0.25, 3.0, 1.5)),
+])
+def test_step_outer_g_sums_the_tail_terms(weight):
+    # dyadic breakpoints, so every q_i = b_i^2 is exact and sum c_i q_i^(n+1) is g_n exactly
+    terms = weight.outer_tail_terms()
+    g = weight.outer_g(2500)
+    scale = 4.0 * U * sum(abs(c) for c, _ in terms)
+    for n in (0, 1, 2, 3, 7, 40, 100, 1000, 2500):
+        exact = sum(Fraction(c) * Fraction(q) ** (n + 1) for c, q in terms)
+        assert abs(Fraction(g[n]) - exact) <= scale, n
+
+
+@pytest.mark.parametrize("weight", [
+    mollify_weight(StepWeight.from_plateau(18.0, 0.25), 1e-3),
+    SampledWeight(radii=(0.0, 0.3, 0.5, 0.7), values=(2.0, 0.5, 4.0, 1.0)),
+    SampledWeight(radii=(0.2, 0.6), values=(0.5, 3.0)),
+])
+def test_sampled_outer_g_matches_quadrature(weight):
+    v_out, big_g, q = weight.outer_tail()
+    knots = [r for r in weight.radii if r > 0.0]
+    g = weight.outer_g(60)
+    for n in (0, 1, 2, 5, 20, 60):
+        val, _ = quad(lambda r: r ** (2 * n + 1) * (float(weight.evaluate(r)) - v_out), 0.0,
+                      knots[-1], points=knots[:-1] or None, limit=400, epsabs=0.0, epsrel=1e-13)
+        assert abs(g[n] - 2 * (n + 1) * val) <= 1e-12 * big_g * q ** (n + 1), n
+
+
 # --------------------------------------------------------------------------
 # sampled weights
 # --------------------------------------------------------------------------
@@ -238,9 +312,9 @@ def test_outer_tail_bounds_every_term(weight):
     # alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1) for every n >= 0
     v_out, big_g, q = weight.outer_tail()
     n = np.arange(201)
-    g = (n + 1) / (PI * weight.alphas(200)) - v_out
-    rounding = 1e-12 * (v_out + big_g * q)
-    assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) + rounding)
+    g = weight.outer_g(200)
+    assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) * (1.0 + 1e-12))
+    assert np.array_equal(weight.alphas(200), (n + 1) / (PI * (v_out + g)))
 
 
 def test_outer_tail_terms_sum_to_g_exactly():
@@ -275,6 +349,8 @@ def test_evaluate_tables_leave_equality_and_hashing_alone():
     dict(breakpoints=(0.25, 0.9), values=(1.0, 1.0)),             # does not close at 1
     dict(breakpoints=(0.25, 1.0), values=(1.0, -2.0)),            # negative value
     dict(breakpoints=(), values=()),                              # empty
+    dict(breakpoints=(math.nan, 1.0), values=(2.0, 1.0)),         # NaN breakpoint
+    dict(breakpoints=(0.25, math.nan, 1.0), values=(2.0, 3.0, 1.0)),
 ])
 def test_step_validation(bad):
     with pytest.raises(WeightError):
@@ -288,6 +364,9 @@ def test_other_validation():
         SampledWeight(radii=(0.1, 1.0), values=(1.0, 1.0))        # radius at 1
     with pytest.raises(WeightError):
         SampledWeight(radii=(0.3, 0.2), values=(1.0, 1.0))        # decreasing
+    for radii in ((math.nan, 0.5), (0.2, math.nan), (0.1, math.nan, 0.5)):
+        with pytest.raises(WeightError):
+            SampledWeight(radii=radii, values=(2.0,) * len(radii))
     with pytest.raises(WeightError):
         DiracAugmentedWeight(-0.5)
     with pytest.raises(WeightError):
