@@ -320,6 +320,11 @@ def run_all(only=None, perturb: float = 0.0):
     sensitivity row: a 10% bump must flip the certificate, demonstrating
     the checks are live.
     """
+    if only is not None:
+        unknown = sorted(set(only) - {cid for cid, _ in CRITERIA})
+        if unknown:
+            raise ValueError(f"unknown criterion id(s) {', '.join(unknown)}; valid ids: "
+                             f"{', '.join(cid for cid, _ in CRITERIA)}")
     selected = [(cid, fn) for cid, fn in CRITERIA if only is None or cid in only]
     results = [fn() for _, fn in selected]
     if perturb:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -322,7 +323,14 @@ def _cmd_repro_all(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser, and every default is immutable or a
+    string that ``type`` converts afresh on each parse, so repeated ``main``
+    calls in one process are independent.
+    """
     parser = argparse.ArgumentParser(
         prog="bergkern",
         description="Weighted kernels on the unit disc: moments, zero certificates, "
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", choices=("diff", "alpha", "ones"), default="diff",
                    help="diff = first differences of the weight's coefficients (default)")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--grid", type=parse_range, default=parse_range("0:0.99:0.01"),
+    p.add_argument("--grid", type=parse_range, default="0:0.99:0.01",
                    metavar="start:stop:step")
     p.add_argument("-N", "--n-terms", type=int, default=400)
 

@@ -344,6 +344,8 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
+    if n_terms is not None and n_terms < 0:
+        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
     if n_terms is not None and n_terms > kernel.MAX_TERMS:
         raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {kernel.MAX_TERMS}")
     label = series.weight.label()
@@ -424,6 +426,8 @@ def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
 def sweep_step_weights(plateau_values, split_values, rho: float = 0.95):
     """Zero counts over a grid of plateau weights (value A on [0,x], 1 outside),
     in (A, x) row order."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
     return [_sweep_one(float(a), float(x), rho) for a in plateau_values for x in split_values]
 
 
@@ -506,8 +510,8 @@ def dirac_zero_threshold(mass: float) -> DiracZeroResult:
     t = 1 - sqrt(1 + pi/k); it lies inside the unit disc exactly when
     k > pi/3 (at k = pi/3 the root sits on the boundary at t = -1).
     """
-    if mass < 0:
-        raise ValueError(f"mass must be >= 0, got {mass}")
+    if not 0.0 <= mass < math.inf:     # also rejects nan
+        raise ValueError(f"mass must be finite and >= 0, got {mass}")
     if mass == 0.0:
         return DiracZeroResult(mass=0.0, threshold=DIRAC_THRESHOLD,
                                has_zero_in_disc=False, zero_location=None)

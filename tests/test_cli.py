@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from bergkern.cli import main, parse_complex, parse_range
+import bergkern.cli
+from bergkern.cli import build_parser, main, parse_complex, parse_range
 
 PI = math.pi
 
@@ -123,11 +125,24 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["moments", "--weight", "{file}", "-N", "3"], _NAN_STEP),
     (["rouche", "--weight", "{file}", "--eps", "0.01"], _NAN_STEP),
     (["find-zeros", "--weight", "{file}", "--rho", "0.9"], _NAN_STEP),
+    (["find-zeros", "--step", "3,0.5", "--rho", "0.9", "--n-terms", "-5"], None),
+    (["dirac", "--k", "nan"], None),
+    (["dirac", "--k", "inf"], None),
+    (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "1.5"], None),
+    (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "nan"], None),
+    (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "0"], None),
+    (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "1"], None),
+    (["repro-all", "--only", "99"], None),
+    (["repro-all", "--only", "1,99"], None),
+    (["repro-all", "--only", "dirac,99"], None),
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
         "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
         "sweep-huge-grid", "sweep-infinite-range", "moments-nan-radius", "rouche-nan-radius",
         "find-zeros-nan-radius", "moments-nan-breakpoint", "rouche-nan-breakpoint",
-        "find-zeros-nan-breakpoint"])
+        "find-zeros-nan-breakpoint", "find-zeros-negative-terms", "dirac-nan-mass",
+        "dirac-infinite-mass", "sweep-rho-above-1", "sweep-rho-nan", "sweep-rho-0",
+        "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
+        "repro-all-known-and-unknown-id"])
 def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
     spec_file = tmp_path / "input.json"       # a function list or a weight definition
     if payload is not None:
@@ -137,6 +152,12 @@ def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: " in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_repro_all_unknown_id_lists_valid_ids(capsys):
+    assert main(["repro-all", "--only", "99"]) == 2
+    err = capsys.readouterr().err
+    assert "99" in err and "coeffs" in err and "cs-split" in err
 
 
 def test_parse_range_rejects_empty():
@@ -296,3 +317,65 @@ def test_repro_all_perturbation_flips_certificate(capsys):
     status, out = run(["repro-all", "--only", "linear-root", "--perturb", "0.1"], capsys)
     assert status == 0
     assert "holds=False" in out
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_repeated_main_calls_are_independent(tmp_path, capsys):
+    commands = [
+        ["find-zeros", "--step", "18,0.25", "--rho", "0.9"],
+        ["sweep", "--A", "1:2:1", "--x", "0.25:0.5:0.25", "--rho", "0.9"],
+        ["schur", "--step", "18,0.25", "--eps", "-0.25", "-N", "100"],
+        ["coeff-check", "--step", "18,0.25", "-N", "100"],
+        ["rouche", "--step", "18,0.25", "--eps", "0.01", "--n-cutoff", "200"],
+    ]
+
+    def run_commands(tag):
+        results = []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{tag}{i}.out"
+            results.append((main([*argv, "--out", str(out)]), out.read_bytes()))
+        return results
+
+    first = run_commands("a")
+    assert main(["find-zeros", "--step", "18,0.25", "--rho", "1.5"]) == 2
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert run_commands("b") == first
+    assert [status for status, _ in first] == [0, 0, 0, 0, 0]
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_help_matches_a_fresh_parser(capsys):
+    main(["sweep", "--A", "1:1:1", "--x", "0.5:0.5:1", "--rho", "0.9"])
+    capsys.readouterr()
+    cached, fresh = build_parser(), build_parser.__wrapped__()
+    assert cached is not fresh
+    assert cached.format_help() == fresh.format_help()
+    assert sorted(_subcommands(cached)) == sorted(_subcommands(fresh))
+    for name, sub in _subcommands(cached).items():
+        assert sub.format_help() == _subcommands(fresh)[name].format_help(), name
+
+
+def test_schur_default_grid_is_fresh_on_every_call(tmp_path, monkeypatch):
+    grids = []
+    original = bergkern.cli.schur_bound_check
+
+    def recording(seq, eps, grid):
+        grids.append(grid)
+        return original(seq, eps, grid)
+
+    monkeypatch.setattr(bergkern.cli, "schur_bound_check", recording)
+    outs = [tmp_path / "g1.csv", tmp_path / "g2.csv"]
+    for out in outs:
+        assert main(["schur", "--weight", "constant1", "--eps", "-0.25", "--out", str(out)]) == 0
+    assert len(grids) == 2 and grids[0] is not grids[1]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(grids[0]) == 100 and grids[0][-1] == pytest.approx(0.99)
