@@ -14,7 +14,6 @@ from functools import cache
 
 import numpy as np
 
-from .kernel import KernelSeries
 from .projector import (build_projector, cs_split_witness, default_family, function_from_spec,
                         inner_product, lp_probe, project)
 from .regularity import (CoefficientSequence, schur_bound_check, schur_integral,
@@ -36,7 +35,7 @@ STEP_ZERO_ORACLE = -0.476874666838925
 
 @cache
 def _zero_report(weight, rho):
-    return count_zeros_winding(KernelSeries(weight), rho)
+    return count_zeros_winding(weight, rho)
 
 
 @dataclass
@@ -77,7 +76,7 @@ def criterion_coeffs() -> CriterionResult:
 
 def criterion_linear_root() -> CriterionResult:
     """2: root of the affine part at -91/170."""
-    cert = rouche_certificate(KernelSeries(STEP_WEIGHT), 0.01)
+    cert = rouche_certificate(STEP_WEIGHT, 0.01)
     err = abs(cert.linear_root - LINEAR_ROOT_EXACT)
     return CriterionResult("linear-root", "affine-part root", err <= 1e-12,
                            f"t* = {cert.linear_root:.15f}, |err| = {err:.2e} (tol 1e-12)",
@@ -86,9 +85,8 @@ def criterion_linear_root() -> CriterionResult:
 
 def criterion_second_diff() -> CriterionResult:
     """3: signs, telescoping, and the first-difference limit at n=500."""
-    series = KernelSeries(STEP_WEIGHT)
-    sd = second_difference_bound(series, 500)
-    a = series.alphas(501)
+    sd = second_difference_bound(STEP_WEIGHT, 500)
+    a = STEP_WEIGHT.alphas(501)
     telescoped_expected = (a[1] - a[0]) - (a[500] - a[499])
     tele_err = abs(sd.telescoped_value - telescoped_expected)
     limit_err = abs((a[501] - a[500]) - 1.0 / math.pi)
@@ -109,7 +107,7 @@ def criterion_second_diff() -> CriterionResult:
 
 def criterion_rouche() -> CriterionResult:
     """4: certificate at eps=0.01 plus certified winding counts."""
-    cert = rouche_certificate(KernelSeries(STEP_WEIGHT), 0.01)
+    cert = rouche_certificate(STEP_WEIGHT, 0.01)
     min_l_err = abs(cert.min_l - 0.1310974583)
     s_bound_err = abs(cert.s_bound - S_BOUND_EXACT)
     step_report = _zero_report(STEP_WEIGHT, 0.99)
@@ -127,9 +125,8 @@ def criterion_rouche() -> CriterionResult:
 
 def criterion_located() -> CriterionResult:
     """5: located-zero residuals and contour-perturbation stability."""
-    series = KernelSeries(STEP_WEIGHT)
     report = _zero_report(STEP_WEIGHT, 0.99)
-    alpha0 = series.alpha(0)
+    alpha0 = float(STEP_WEIGHT.alphas(0)[0])
     residual_ok = bool(report.located_zeros) and all(
         z.residual <= 1e-9 * alpha0 for z in report.located_zeros)
     location_ok = any(abs(z.location - STEP_ZERO_ORACLE) <= 1e-6 for z in report.located_zeros)
@@ -317,9 +314,12 @@ def run_all(only=None, perturb: float = 0.0):
     """Run the criteria (optionally a named subset).
 
     ``perturb`` multiplies alpha_0 by (1+perturb) inside an extra
-    sensitivity row: a 10% bump must flip the certificate, demonstrating
-    the checks are live.
+    sensitivity row, which passes only when the perturbed certificate no
+    longer holds: a 10% bump must flip it, demonstrating the checks are live.
+    The perturbation must be finite and > -1, so alpha_0 stays positive.
     """
+    if not (math.isfinite(perturb) and perturb > -1.0):
+        raise ValueError(f"perturb must be finite and > -1, got {perturb}")
     if only is not None:
         unknown = sorted(set(only) - {cid for cid, _ in CRITERIA})
         if unknown:
@@ -328,11 +328,11 @@ def run_all(only=None, perturb: float = 0.0):
     selected = [(cid, fn) for cid, fn in CRITERIA if only is None or cid in only]
     results = [fn() for _, fn in selected]
     if perturb:
-        a = KernelSeries(STEP_WEIGHT).alphas(400).copy()
+        a = STEP_WEIGHT.alphas(400)
         a[0] *= (1.0 + perturb)
-        cert = rouche_certificate(KernelSeries(STEP_WEIGHT, coeffs=a), 0.01)
+        cert = rouche_certificate(STEP_WEIGHT, 0.01, alphas=a)
         results.append(CriterionResult(
-            "perturb", f"sensitivity: alpha_0 x (1+{perturb:g})", True,
+            "perturb", f"sensitivity: alpha_0 x (1+{perturb:g})", not cert.holds,
             f"certificate holds={cert.holds} after perturbation "
             f"(min|L|={cert.min_l:.6f}, S={cert.s_bound:.6f})",
             {"holds": cert.holds}))

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .kernel import MAX_TERMS, KernelSeries, ToleranceError, kernel_eval
+from .kernel import MAX_TERMS, ToleranceError, kernel_eval
 from .regularity import (CoefficientSequence, decompose_b, necessary_check, schur_bound_check,
                          sufficient_check)
 from .weights import (ConstantWeight, StepWeight, WeightError, QuadratureError, load_weight,
@@ -110,9 +110,8 @@ def emit_csv(comment: str, header: list, rows: list, out: str | None) -> None:
 
 def _cmd_kernel_eval(args, parser) -> int:
     weight = resolve_weight(args, parser)
-    series = KernelSeries(weight)
     try:
-        result = kernel_eval(series, args.z, args.w, tol=args.tol)
+        result = kernel_eval(weight, args.z, args.w, tol=args.tol)
     except ToleranceError as exc:
         emit_json({"error": str(exc), "achieved_bound": exc.achieved,
                    "units": TRUE_UNITS}, args.out)
@@ -141,7 +140,7 @@ def _cmd_moments(args, parser) -> int:
 
 def _cmd_find_zeros(args, parser) -> int:
     weight = resolve_weight(args, parser)
-    report = count_zeros_winding(KernelSeries(weight), args.rho,
+    report = count_zeros_winding(weight, args.rho,
                                  n_terms=args.n_terms, locate=not args.no_locate)
     emit_json({
         "weight": report.weight_label, "rho": report.rho, "rho_used": report.rho_used,
@@ -158,19 +157,18 @@ def _cmd_find_zeros(args, parser) -> int:
 
 def _cmd_rouche(args, parser) -> int:
     weight = resolve_weight(args, parser)
-    series = KernelSeries(weight)
     factor = 2.0 * math.pi if args.scaled_units else 1.0
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
     payload = {"units": units, "weight": weight.label()}
     if args.eps is None:
-        best, table = auto_rouche_epsilon(series, n_cutoff=args.n_cutoff)
+        best, table = auto_rouche_epsilon(weight, n_cutoff=args.n_cutoff)
         payload["auto_eps_best"] = best
         payload["auto_eps_table"] = [
             {"eps": e, "holds": c.holds, "min_L": c.min_l * factor,
              "S_bound": c.s_bound * factor} for e, c in table]
         cert = table[-1][1] if best is None else dict(table)[best]
     else:
-        cert = rouche_certificate(series, args.eps, n_cutoff=args.n_cutoff)
+        cert = rouche_certificate(weight, args.eps, n_cutoff=args.n_cutoff)
     payload.update({
         "epsilon": cert.epsilon, "ring_radius": cert.ring_radius,
         "linear_root": cert.linear_root,
@@ -250,9 +248,8 @@ def _cmd_coeff_check(args, parser) -> int:
     nec = necessary_check(seq)
     suf = sufficient_check(seq)
     dec = decompose_b(seq)
-    series = KernelSeries(weight)
-    sd = second_difference_bound(series, min(args.n_terms, 500) if args.n_terms >= 2 else 2)
-    a = series.alphas(args.n_terms)
+    sd = second_difference_bound(weight, min(args.n_terms, 500) if args.n_terms >= 2 else 2)
+    a = weight.alphas(args.n_terms)
     payload = {
         "weight": weight.label(), "n_max": args.n_terms, "units": units,
         "limsup_estimate": nec.limsup_estimate * factor,
@@ -263,7 +260,6 @@ def _cmd_coeff_check(args, parser) -> int:
         "window_high": None if suf.window_high is None else suf.window_high * factor,
         "within_window": suf.within_window,
         "sup_b": dec.sup_abs * factor,
-        "reconstructs": dec.reconstructs,
         "second_difference_all_negative": sd.all_negative,
         "sign_certified_exact": sd.sign_certified,
         "telescoped_value": sd.telescoped_value * factor,

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernel import KernelSeries
 from .weights import DiracAugmentedWeight
 
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
@@ -95,11 +94,10 @@ def build_projector(weight, n_max: int, radial_per_segment: int = 200,
     radii = np.concatenate(radii)
     radial_weights = np.concatenate(radial_weights)
     thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    series = KernelSeries(weight)
     return DiscreteProjector(weight=weight, n_max=n_max, radii=radii,
                              radial_weights=radial_weights,
                              lam=weight.evaluate(radii), thetas=thetas,
-                             alphas=series.alphas(n_max).copy())
+                             alphas=weight.alphas(n_max))
 
 
 def inner_product(proj: DiscreteProjector, f: np.ndarray, g: np.ndarray) -> complex:
@@ -271,7 +269,7 @@ def cs_split_witness(weight, f, p: float, n_trunc: int = 12,
     thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
     area = (0.5 * wts * r * (2.0 * math.pi / angular))[:, None]     # (R, 1)
 
-    b = np.diff(KernelSeries(weight).alphas(n_trunc), prepend=0.0)
+    b = np.diff(weight.alphas(n_trunc), prepend=0.0)
     pts = r[:, None] * np.exp(1j * thetas[None, :])
     fv = np.broadcast_to(np.asarray(f(pts), dtype=complex), pts.shape)
 

@@ -30,8 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelSeries
-
 
 @dataclass(frozen=True)
 class CoefficientSequence:
@@ -49,8 +47,7 @@ class CoefficientSequence:
 
     @classmethod
     def from_weight(cls, weight, n_max: int) -> "CoefficientSequence":
-        series = KernelSeries(weight)
-        return cls(betas=series.alphas(n_max), source="weight", weight=weight)
+        return cls(betas=weight.alphas(n_max), source="weight", weight=weight)
 
     @property
     def n_max(self) -> int:
@@ -105,14 +102,11 @@ def necessary_check(seq: CoefficientSequence) -> NecessaryCheck:
 class DifferenceDecomposition:
     b: np.ndarray             # b_n = beta_n - beta_{n-1}, beta_{-1} = 0
     sup_abs: float
-    reconstructs: bool        # cumulative sums return the original sequence exactly
 
 
 def decompose_b(seq: CoefficientSequence) -> DifferenceDecomposition:
     b = np.diff(seq.betas, prepend=0.0 + 0.0j)
-    recon = np.cumsum(b)
-    return DifferenceDecomposition(b=b, sup_abs=float(np.max(np.abs(b))),
-                                   reconstructs=bool(np.array_equal(recon, seq.betas)))
+    return DifferenceDecomposition(b=b, sup_abs=float(np.max(np.abs(b))))
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,10 @@ def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) ->
     return SchurIntegral(value=value, tail=tail)
 
 
-def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius: float,
-                              quad_tol: float = 1e-11) -> float:
+SCHUR_QUAD_TOL = 1e-11     # absolute and relative tolerance of the radial quadrature
+
+
+def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius: float) -> float:
     """Direct polar quadrature of the defining integral (independent route).
 
     The angular integral of |sum beta_n (z*conj(w))^n|^2 is a trigonometric
@@ -241,7 +237,7 @@ def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius
 
     val, err = quad(lambda u: math.pi * angular_mean(math.sqrt(u)), 0.0, 1.0,
                     weight="alg", wvar=(0.0, epsilon),
-                    epsabs=quad_tol, epsrel=quad_tol, limit=300)
+                    epsabs=SCHUR_QUAD_TOL, epsrel=SCHUR_QUAD_TOL, limit=300)
     return val
 
 

@@ -24,7 +24,8 @@ Supported weight shapes:
   the n=0 moment is modified.
 
 Every shape is constant (= v_out) on an outer annulus [r_hat, 1), and
-``alphas_closed_form`` applies one formula to all of them,
+``alphas_closed_form`` applies one formula to all of them, for n up to
+``MAX_TERMS``,
 
     alpha_n = (n+1)/(pi*(v_out + g_n)),   g_n = (2n+2) int_0^1 r^(2n+1) (lam - v_out) dr.
 
@@ -59,6 +60,7 @@ from typing import Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+MAX_TERMS = 400_000     # coefficient budget of every truncation and coefficient request
 
 
 class WeightError(ValueError):
@@ -453,6 +455,8 @@ def moment_table(weight, n_max: int, tol: float = 1e-12, method: str = "auto") -
 
 def alphas_closed_form(weight, n_max: int) -> np.ndarray:
     """alpha_n = (n+1)/(pi*(v_out + g_n)) for n = 0..n_max, g_n from the weight's ``outer_g``."""
+    if n_max > MAX_TERMS:
+        raise ValueError(f"coefficient index {n_max} exceeds MAX_TERMS = {MAX_TERMS}")
     return (_indices(n_max) + 1.0) / (math.pi * (weight.outer_tail()[0] + weight.outer_g(n_max)))
 
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import KernelSeries, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
+from .kernel import diagonal_poly, eval_diagonal, kernel_eval, tail_bound, terms_for_tolerance
 from .weights import SampledWeight, StepWeight, as_step, radial_integral
 
 _polyval = np.polynomial.polynomial.polyval
@@ -102,7 +102,7 @@ def _second_difference_signs(v_out: float, terms, n_cutoff: int):
         return -np.sign(d), (np.abs(d) > 2.0 * bound) & (q.min() >= 2.0 ** -500)
 
 
-def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDifferenceSummary:
+def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDifferenceSummary:
     """Certified bound on sum_{k>=2} |alpha_k - 2 alpha_{k-1} + alpha_{k-2}|.
 
     The remainder past n_cutoff is bounded without any sign assumption:
@@ -117,17 +117,28 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
     value to report.  For weights with ``outer_tail_terms`` (constants and
     steps) every sign up to n_cutoff is proven from the float weight data
     (``_second_difference_signs``), and that decides ``all_negative`` and the
-    telescoping.  Otherwise, for explicit coefficients, or if some sign stays
-    undecided, the float signs decide and ``sign_certified`` is False.
+    telescoping.  Otherwise, or if some sign stays undecided, the float signs
+    decide and ``sign_certified`` is False.
+
+    Explicit ``alphas`` (alpha_0..alpha_M, M >= n_cutoff) replace the weight's
+    own coefficients.  They are not the weight's, so no sign is proven, and the
+    remainder's constant C becomes max(alpha_bound, max alpha_n*pi/(n+1)).
     """
     if n_cutoff < 2:
         raise ValueError(f"need n_cutoff >= 2, got {n_cutoff}")
-    a = series.alphas(n_cutoff)
+    c = weight.alpha_bound
+    if alphas is None:
+        a, terms = weight.alphas(n_cutoff), weight.outer_tail_terms()
+    else:
+        given = np.asarray(alphas, dtype=float)
+        if len(given) < n_cutoff + 1:
+            raise ValueError(f"{len(given)} explicit coefficients do not reach alpha_{n_cutoff}")
+        c = max(c, float(np.max(given * math.pi / (np.arange(len(given)) + 1.0))))
+        a, terms = given[:n_cutoff + 1], None
     d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
     telescoped = (a[1] - a[0]) - (a[n_cutoff] - a[n_cutoff - 1])
 
-    v_out, big_g, q = series.weight.outer_tail()
-    terms = None if series.explicit else series.weight.outer_tail_terms()
+    v_out, big_g, q = weight.outer_tail()
     signs, proven = (d2, False) if terms is None else _second_difference_signs(v_out, terms, n_cutoff)
     sign_certified = bool(np.all(proven))
     if not sign_certified:      # float signs, where d2 below rounding noise counts as negative
@@ -135,7 +146,7 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
     all_negative, telescoping_valid = bool(np.all(signs < 0)), bool(np.all(signs <= 0))
     remainder = 0.0
     if q > 0.0 and big_g > 0.0:     # 4*K*sum_{m>=N-1}(m+1)q^(m+1) with K = C*G/(pi*v_out)
-        remainder = 4.0 * (series.tail_constant * big_g / (math.pi * v_out)) \
+        remainder = 4.0 * (c * big_g / (math.pi * v_out)) \
             * q ** n_cutoff * (n_cutoff - (n_cutoff - 1) * q) / (1.0 - q) ** 2
 
     # one-signed (in the <= 0 sense) second differences telescope exactly,
@@ -146,7 +157,7 @@ def second_difference_bound(series: KernelSeries, n_cutoff: int) -> SecondDiffer
         n_cutoff=n_cutoff, partial_sum=abs_sum, telescoped_value=float(telescoped),
         remainder_bound=float(remainder), s_bound=partial + float(remainder),
         all_negative=all_negative, sign_certified=sign_certified,
-        first_difference_limit=series.scale / (math.pi * v_out))
+        first_difference_limit=1.0 / (math.pi * v_out))
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +185,24 @@ def min_affine_modulus_on_circle(a0: float, slope: float, radius: float) -> floa
     return abs(a0 - abs(slope) * radius)
 
 
-def rouche_certificate(series: KernelSeries, epsilon: float, n_cutoff: int = 400) -> RoucheCertificate:
+def rouche_certificate(weight, epsilon: float, n_cutoff: int = 400,
+                       alphas=None) -> RoucheCertificate:
     """Zero-existence certificate on the ring |t| = 1 - epsilon.
 
     holds=True certifies a zero of the kernel with both arguments in the
-    disc; holds=False is inconclusive (never a disproof).
+    disc; holds=False is inconclusive (never a disproof).  Explicit
+    ``alphas`` replace the weight's coefficients (see
+    ``second_difference_bound``).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     ring = 1.0 - epsilon
-    a0, a1 = series.alpha(0), series.alpha(1)
+    sd = second_difference_bound(weight, n_cutoff, alphas)
+    a = weight.alphas(1) if alphas is None else np.asarray(alphas, dtype=float)
+    a0, a1 = float(a[0]), float(a[1])
     slope = a1 - 2.0 * a0
     root = -a0 / slope if slope != 0.0 else None
     min_l = a0 if slope == 0.0 else min_affine_modulus_on_circle(a0, slope, ring)
-    sd = second_difference_bound(series, n_cutoff)
     root_inside = root is not None and abs(root) < ring
     return RoucheCertificate(
         epsilon=epsilon, ring_radius=ring, linear_root=root,
@@ -196,15 +211,16 @@ def rouche_certificate(series: KernelSeries, epsilon: float, n_cutoff: int = 400
         second_differences=sd)
 
 
-def auto_rouche_epsilon(series: KernelSeries, eps_grid=None, n_cutoff: int = 400):
-    """Largest epsilon on a log grid for which the certificate holds.
+ROUCHE_EPS_GRID = tuple(np.geomspace(1e-3, 0.03, 12).tolist())   # searched by auto_rouche_epsilon
+
+
+def auto_rouche_epsilon(weight, n_cutoff: int = 400):
+    """Largest epsilon of ROUCHE_EPS_GRID for which the certificate holds.
 
     Returns (best_epsilon_or_None, list of (epsilon, certificate)); the
     admissible range is reported rather than guessed.
     """
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-3, 0.03, 12)
-    table = [(float(e), rouche_certificate(series, float(e), n_cutoff)) for e in eps_grid]
+    table = [(e, rouche_certificate(weight, e, n_cutoff)) for e in ROUCHE_EPS_GRID]
     passing = [e for e, cert in table if cert.holds]
     return (max(passing) if passing else None), table
 
@@ -240,6 +256,8 @@ class ZeroReport:
 # eta = u + gamma_4 (sqrt(2) + u) for twiddle factors accurate to u.
 _FFT_ETA = _U + 4.0 * _U / (1.0 - 4.0 * _U) * (math.sqrt(2.0) + _U)
 MAX_CONTOUR_SAMPLES = 1 << 20     # a contour needing more passes through a zero
+NEWTON_MAX_ITER = 60              # Newton steps from one start before it is dropped
+RESIDUAL_FACTOR = 1e-9            # a located zero's |F| + tail, relative to alpha_0
 
 
 def _contour(coeffs: np.ndarray, rho: float, margin: float):
@@ -280,17 +298,16 @@ def _contour(coeffs: np.ndarray, rho: float, margin: float):
     return values, dvalues, winding, bound, m
 
 
-def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
-                   max_iter: int = 60):
+def _newton_refine(weight, start: complex, residual_target: float):
     t = complex(start)
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if abs(t) >= 0.999:
             return None
-        fv = eval_diagonal(series, t, tol=min(residual_target * 1e-3, 1e-13))
+        fv = eval_diagonal(weight, t, tol=min(residual_target * 1e-3, 1e-13))
         total = abs(fv.value) + fv.err_bound
         if total <= residual_target:
             return LocatedZero(location=t, residual=total, iterations=it - 1)
-        a = series.alphas(fv.n_used)
+        a = weight.alphas(fv.n_used)
         deriv = _polyval(t, (a[1:] * np.arange(1, fv.n_used + 1)).astype(complex))
         if deriv == 0:
             return None
@@ -298,7 +315,7 @@ def _newton_refine(series: KernelSeries, start: complex, residual_target: float,
     return None
 
 
-def _locate_zeros(series: KernelSeries, values: np.ndarray, dvalues: np.ndarray, rho: float,
+def _locate_zeros(weight, values: np.ndarray, dvalues: np.ndarray, rho: float,
                   count: int, residual_target: float):
     """Zeros of F in |t| < rho from the contour samples of the certified polynomial p.
 
@@ -316,7 +333,7 @@ def _locate_zeros(series: KernelSeries, values: np.ndarray, dvalues: np.ndarray,
         starts = np.empty(0, dtype=complex)
     found = []
     for start in starts[starts.imag >= 0.0]:
-        hit = _newton_refine(series, complex(start), residual_target)
+        hit = _newton_refine(weight, complex(start), residual_target)
         if hit is None or abs(hit.location) >= rho:
             continue
         loc = hit.location
@@ -329,8 +346,8 @@ def _locate_zeros(series: KernelSeries, values: np.ndarray, dvalues: np.ndarray,
     return tuple(found)
 
 
-def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int] = None, *,
-                        locate: bool = True, residual_factor: float = 1e-9) -> ZeroReport:
+def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
+                        locate: bool = True) -> ZeroReport:
     """Certified zero count of F in |t| < rho via the argument principle.
 
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
@@ -348,29 +365,29 @@ def count_zeros_winding(series: KernelSeries, rho: float, n_terms: Optional[int]
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
     if n_terms is not None and n_terms > kernel.MAX_TERMS:
         raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {kernel.MAX_TERMS}")
-    label = series.weight.label()
+    label = weight.label()
+    alpha0 = float(weight.alphas(0)[0])
     best_diag = ""
     best = None
     for offset in (0.0, 1e-3, -1e-3, 2e-3, -2e-3):
         rho_try = rho + offset
         if not 0.0 < rho_try < 1.0:
             continue
-        target = 1e-4 * series.alpha(0)
         try:
             n = n_terms if n_terms is not None else terms_for_tolerance(
-                series.tail_constant, rho_try, target)
+                weight.alpha_bound, rho_try, 1e-4 * alpha0)
         except Exception as exc:
             best_diag = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
         n = max(n, 8)
         while True:
-            tail = series.tail_bound(rho_try, n)
+            tail = tail_bound(weight.alpha_bound, rho_try, n)
             margin = tail * (1.0 + rho_try) ** 2
             values, dvalues, winding, bound, samples = _contour(
-                diagonal_poly(series, n), rho_try, margin)
+                diagonal_poly(weight, n), rho_try, margin)
             if bound > margin:
                 zeros = () if not locate or winding == 0 else _locate_zeros(
-                    series, values, dvalues, rho_try, winding, residual_factor * series.alpha(0))
+                    weight, values, dvalues, rho_try, winding, RESIDUAL_FACTOR * alpha0)
                 notes = [f"contour perturbed to rho={rho_try}"] if offset else []
                 if locate and len(zeros) != winding:
                     notes.append(f"located {len(zeros)} of {winding} certified zeros")
@@ -414,8 +431,7 @@ class SweepCell:
 
 def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
     try:
-        series = KernelSeries(StepWeight.from_plateau(a, x))
-        report = count_zeros_winding(series, rho, locate=False)
+        report = count_zeros_winding(StepWeight.from_plateau(a, x), rho, locate=False)
         return SweepCell(plateau=a, split=x, rho=rho, zero_count=report.zero_count,
                          certified=report.certified, note=report.diagnostics)
     except Exception as exc:  # record in-row, never abort the sweep
@@ -444,7 +460,10 @@ def _smooth_transition(s):
     return a / (a + b)
 
 
-def mollify_weight(step, width: float, transition_samples: int = 81) -> SampledWeight:
+TRANSITION_SAMPLES = 81     # samples across each smoothed jump
+
+
+def mollify_weight(step, width: float) -> SampledWeight:
     """Smooth a piecewise-constant weight across its jumps.
 
     Each interior jump at r_i is replaced by a C-infinity ramp on
@@ -471,7 +490,7 @@ def mollify_weight(step, width: float, transition_samples: int = 81) -> SampledW
     values = [w.values[0]]
     for i, b in enumerate(interior):
         v_left, v_right = w.values[i], w.values[i + 1]
-        rr = np.linspace(b - width, b + width, transition_samples)
+        rr = np.linspace(b - width, b + width, TRANSITION_SAMPLES)
         vv = v_left + (v_right - v_left) * _smooth_transition((rr - (b - width)) / (2.0 * width))
         radii.extend(rr.tolist())
         values.extend(vv.tolist())
@@ -563,7 +582,6 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
     m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
     lhs = complex(sum(q ** m / reinhardt_monomial_norm(weight, m, 0)
                       for m in range(m_used + 1)))
-    series = KernelSeries(weight)
-    rhs = kernel_eval(series, complex(z), complex(t), tol=tol * 1e-2).value / math.pi
+    rhs = kernel_eval(weight, complex(z), complex(t), tol=tol * 1e-2).value / math.pi
     diff = abs(lhs - rhs)
     return InflationCheck(lhs=lhs, rhs=rhs, abs_diff=diff, agree=diff <= tol, m_used=m_used)

@@ -1,6 +1,6 @@
 import pytest
 
-from bergkern import ConstantWeight, KernelSeries, StepWeight
+from bergkern import ConstantWeight, StepWeight
 
 
 @pytest.fixture(scope="session")
@@ -12,12 +12,3 @@ def step18():
 def const1():
     return ConstantWeight(1.0)
 
-
-@pytest.fixture(scope="session")
-def step18_series(step18):
-    return KernelSeries(step18)
-
-
-@pytest.fixture(scope="session")
-def const1_series(const1):
-    return KernelSeries(const1)

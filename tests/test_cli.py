@@ -135,6 +135,12 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["repro-all", "--only", "99"], None),
     (["repro-all", "--only", "1,99"], None),
     (["repro-all", "--only", "dirac,99"], None),
+    (["kernel-eval", "--step", "18,0.25", "--z", "0.5", "--w", "0.5", "--tol", "-1"], None),
+    (["kernel-eval", "--step", "18,0.25", "--z", "0.5", "--w", "0.5", "--tol", "nan"], None),
+    (["kernel-eval", "--step", "18,0.25", "--z", "0", "--w", "0.5", "--tol", "-1"], None),
+    (["inflate-check", "--step", "18,0.25", "--z", "0.4", "--t", "0.3", "--tol", "-1"], None),
+    (["repro-all", "--only", "dirac", "--perturb", "nan"], None),
+    (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
         "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
         "sweep-huge-grid", "sweep-infinite-range", "moments-nan-radius", "rouche-nan-radius",
@@ -142,7 +148,9 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "find-zeros-nan-breakpoint", "find-zeros-negative-terms", "dirac-nan-mass",
         "dirac-infinite-mass", "sweep-rho-above-1", "sweep-rho-nan", "sweep-rho-0",
         "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
-        "repro-all-known-and-unknown-id"])
+        "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
+        "kernel-eval-origin-negative-tol", "inflate-check-negative-tol", "repro-all-nan-perturb",
+        "repro-all-perturb-minus-1"])
 def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
     spec_file = tmp_path / "input.json"       # a function list or a weight definition
     if payload is not None:
@@ -317,6 +325,12 @@ def test_repro_all_perturbation_flips_certificate(capsys):
     status, out = run(["repro-all", "--only", "linear-root", "--perturb", "0.1"], capsys)
     assert status == 0
     assert "holds=False" in out
+
+
+def test_repro_all_perturbation_too_small_to_flip_fails(capsys):
+    status, out = run(["repro-all", "--only", "linear-root", "--perturb", "0.001"], capsys)
+    assert status == 1
+    assert "FAIL  criterion perturb" in out and "holds=True" in out
 
 
 # --------------------------------------------------------------------------

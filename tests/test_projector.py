@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergkern import (ConstantWeight, KernelSeries, StepWeight, build_projector,
+from bergkern import (ConstantWeight, StepWeight, build_projector,
                       cs_split_witness, default_family, lp_norm, lp_probe, project)
 from bergkern.projector import _leggauss, function_from_spec, inner_product, monomial_inner
 from bergkern.weights import DiracAugmentedWeight
@@ -45,7 +45,7 @@ def reference_split_witness(weight, f, p, n_trunc=12, radial=32, angular=48):
     thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
     pts = (r[:, None] * np.exp(1j * thetas[None, :])).ravel()
     area = ((wr * r)[:, None] * np.full(angular, 2.0 * math.pi / angular)).ravel()
-    b = np.diff(KernelSeries(weight).alphas(n_trunc), prepend=0.0)
+    b = np.diff(weight.alphas(n_trunc), prepend=0.0)
     fv = np.broadcast_to(np.asarray(f(pts), dtype=complex), pts.shape)
     tf = np.empty_like(fv)
     s1 = np.empty(len(pts))

@@ -147,13 +147,25 @@ def test_alphas_closed_form_matches_entrywise(step18):
 
 @pytest.mark.parametrize("weight", [
     ConstantWeight(2.5),
+    StepWeight.from_plateau(18.0, 0.25),
+    SampledWeight(radii=(0.0, 0.5), values=(2.0, 1.0)),
+    DiracAugmentedWeight(10.0),
+])
+def test_alphas_closed_form_rejects_index_beyond_max_terms(weight):
+    assert len(alphas_closed_form(weight, 0)) == 1
+    with pytest.raises(ValueError, match="MAX_TERMS"):
+        alphas_closed_form(weight, weights.MAX_TERMS + 1)
+
+
+@pytest.mark.parametrize("weight", [
+    ConstantWeight(2.5),
     StepWeight(breakpoints=(0.2, 0.6, 1.0), values=(18.0, 0.5, 1.0)),
     mollify_weight(StepWeight.from_plateau(18.0, 0.25), 1e-3),
     DiracAugmentedWeight(10.0),
     StepWeight.from_plateau(2.0, 0.4),
 ])
 def test_alphas_prefix_stable(weight):
-    # KernelSeries grows its cache by recomputing a longer prefix
+    # a prefix must not depend on how many coefficients one request asks for
     for m in (0, 1, 63, 500):
         assert np.array_equal(weight.alphas(4000)[:m + 1], weight.alphas(m))
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergkern import (ConstantWeight, DiracAugmentedWeight, KernelSeries, StepWeight,
+from bergkern import (ConstantWeight, DiracAugmentedWeight, StepWeight,
                       auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
-                      WeightError, kernel, sweep_step_weights, zeros)
+                      tail_bound, WeightError, kernel, sweep_step_weights, zeros)
 from bergkern.zeros import min_affine_modulus_on_circle
 from rational_oracle import second_difference_signs, step_alpha_pi_fraction
 
@@ -24,8 +24,8 @@ STEP_ZERO = -0.476874666838925
 # second differences
 # --------------------------------------------------------------------------
 
-def test_second_difference_plateau(step18_series):
-    sd = second_difference_bound(step18_series, 400)
+def test_second_difference_plateau(step18):
+    sd = second_difference_bound(step18, 400)
     assert sd.all_negative and sd.sign_certified
     # telescoped limit: (alpha_1 - alpha_0) - 1/pi = 391/(1001*pi)
     exact = float(Fraction(391, 1001)) / PI
@@ -35,38 +35,38 @@ def test_second_difference_plateau(step18_series):
     assert sd.first_difference_limit == pytest.approx(1.0 / PI, rel=1e-14)
 
 
-def test_second_difference_telescoping_identity(step18_series):
+def test_second_difference_telescoping_identity(step18):
     n = 123
-    a = step18_series.alphas(n)
-    sd = second_difference_bound(step18_series, n)
+    a = step18.alphas(n)
+    sd = second_difference_bound(step18, n)
     assert sd.telescoped_value == pytest.approx(
         (a[1] - a[0]) - (a[n] - a[n - 1]), abs=1e-15)
 
 
-def test_second_difference_constant_is_zero(const1_series):
-    sd = second_difference_bound(const1_series, 200)
+def test_second_difference_constant_is_zero(const1):
+    sd = second_difference_bound(const1, 200)
     assert sd.s_bound <= 1e-13
     assert sd.remainder_bound == 0.0
 
 
-def test_second_difference_brute_force_oracle(step18, step18_series):
+def test_second_difference_brute_force_oracle(step18):
     # exact-rational |.| summation to k=450 (remainder ~16^-450) must agree
     # with the certified bound; exact arithmetic sidesteps float noise
     a = [step_alpha_pi_fraction(step18, n) for n in range(451)]
     brute = float(sum(abs(a[k] - 2 * a[k - 1] + a[k - 2]) for k in range(2, 451))) / PI
-    sd = second_difference_bound(step18_series, 400)
+    sd = second_difference_bound(step18, 400)
     assert sd.s_bound == pytest.approx(brute, abs=1e-12)
 
 
-def test_exact_sign_claim_covers_the_whole_cutoff(step18_series):
+def test_exact_sign_claim_covers_the_whole_cutoff(step18):
     # the signs are proven from the float data up to any cutoff, MAX_TERMS included
     for n_cutoff in (400, 1000, kernel.MAX_TERMS):
-        sd = second_difference_bound(step18_series, n_cutoff)
+        sd = second_difference_bound(step18, n_cutoff)
         assert sd.sign_certified and sd.all_negative
 
 
 def test_mixed_sign_plateau_is_certified_not_negative():
-    sd = second_difference_bound(KernelSeries(StepWeight.from_plateau(11.0, 0.95)), 400)
+    sd = second_difference_bound(StepWeight.from_plateau(11.0, 0.95), 400)
     assert sd.sign_certified and not sd.all_negative
     assert sd.s_bound == pytest.approx(sd.partial_sum + sd.remainder_bound, rel=1e-15)
 
@@ -74,7 +74,7 @@ def test_mixed_sign_plateau_is_certified_not_negative():
 def test_equal_valued_steps_are_certified_flat():
     weight = StepWeight(breakpoints=(0.3, 0.6, 1.0), values=(2.0, 2.0, 2.0))
     assert weight.outer_tail_terms() == ()
-    sd = second_difference_bound(KernelSeries(weight), 300)
+    sd = second_difference_bound(weight, 300)
     assert sd.sign_certified and not sd.all_negative
     # every d2 is exactly 0, so the partial sum telescopes to (alpha_1-alpha_0) - (alpha_N-alpha_{N-1})
     assert sd.s_bound == sd.telescoped_value and abs(sd.s_bound) <= 1e-13
@@ -85,7 +85,7 @@ def test_equal_valued_steps_are_certified_flat():
 def test_weights_without_geometric_terms_are_not_sign_certified(step18):
     for weight in (mollify_weight(step18, 1e-3), DiracAugmentedWeight(10.0)):
         assert weight.outer_tail_terms() is None
-        assert not second_difference_bound(KernelSeries(weight), 200).sign_certified
+        assert not second_difference_bound(weight, 200).sign_certified
 
 
 _DYADIC_SPLITS = st.lists(st.integers(1, 63), min_size=1, max_size=2, unique=True)
@@ -101,7 +101,7 @@ def test_proven_signs_match_the_exact_oracle(splits, values):
         weight.values[-1], weight.outer_tail_terms(), 400)
     exact = np.array(second_difference_signs(weight, 400))
     assert np.array_equal(signs[proven], exact[proven])
-    sd = second_difference_bound(KernelSeries(weight), 400)
+    sd = second_difference_bound(weight, 400)
     assert sd.sign_certified == bool(proven.all())
     if sd.sign_certified:
         assert sd.all_negative == bool(np.all(exact < 0))
@@ -130,26 +130,26 @@ def test_signs_at_a_sign_change_are_never_wrong(a, k):
         x = np.nextafter(x, 1.0)
 
 
-def test_explicit_coefficients_are_never_sign_certified(step18_series):
+def test_explicit_coefficients_are_never_sign_certified(step18):
     # the plateau's own coefficients, but given explicitly: the exact check is
     # about the weight, so it must not vouch for them
-    series = KernelSeries(step18_series.weight, coeffs=step18_series.alphas(400))
-    sd = second_difference_bound(series, 400)
+    a = step18.alphas(400)
+    sd = second_difference_bound(step18, 400, alphas=a)
     assert sd.all_negative and not sd.sign_certified
-    assert not rouche_certificate(series, 0.01).second_differences.sign_certified
+    assert not rouche_certificate(step18, 0.01, alphas=a).second_differences.sign_certified
 
 
-def test_second_difference_rejects_tiny_cutoff(step18_series):
+def test_second_difference_rejects_tiny_cutoff(step18):
     with pytest.raises(ValueError):
-        second_difference_bound(step18_series, 1)
+        second_difference_bound(step18, 1)
 
 
 # --------------------------------------------------------------------------
 # certificate
 # --------------------------------------------------------------------------
 
-def test_certificate_holds_at_small_eps(step18_series):
-    cert = rouche_certificate(step18_series, 0.01)
+def test_certificate_holds_at_small_eps(step18):
+    cert = rouche_certificate(step18, 0.01)
     assert cert.holds
     assert cert.linear_root == pytest.approx(-91.0 / 170.0, abs=1e-15)
     assert cert.min_l == pytest.approx(0.1310974583, abs=1e-9)
@@ -157,33 +157,33 @@ def test_certificate_holds_at_small_eps(step18_series):
     assert cert.ring_radius == 0.99
 
 
-def test_certificate_fails_at_larger_eps(step18_series):
-    cert = rouche_certificate(step18_series, 0.05)
+def test_certificate_fails_at_larger_eps(step18):
+    cert = rouche_certificate(step18, 0.05)
     assert not cert.holds
     assert cert.min_l == pytest.approx(0.1195649523, abs=1e-9)
     assert cert.min_l < cert.s_bound
 
 
-def test_certificate_constant_weight_inconclusive(const1_series):
-    cert = rouche_certificate(const1_series, 0.01)
+def test_certificate_constant_weight_inconclusive(const1):
+    cert = rouche_certificate(const1, 0.01)
     assert cert.linear_root is None
     assert not cert.holds
     assert cert.s_bound <= 1e-13
 
 
-def test_certificate_rejects_bad_eps(step18_series):
+def test_certificate_rejects_bad_eps(step18):
     with pytest.raises(ValueError):
-        rouche_certificate(step18_series, 0.0)
+        rouche_certificate(step18, 0.0)
     with pytest.raises(ValueError):
-        rouche_certificate(step18_series, 1.0)
+        rouche_certificate(step18, 1.0)
 
 
-def test_min_affine_modulus_formula_branch(step18_series):
+def test_min_affine_modulus_formula_branch(step18):
     # min|L| = (alpha_1 - 3 alpha_0) - eps(alpha_1 - 2 alpha_0) while the
     # affine root stays inside the ring
-    a0, a1 = step18_series.alpha(0), step18_series.alpha(1)
+    a0, a1 = step18.alphas(1)
     for eps in (0.005, 0.01, 0.05, 0.2):
-        cert = rouche_certificate(step18_series, eps)
+        cert = rouche_certificate(step18, eps)
         if abs(cert.linear_root) < cert.ring_radius:
             expected = (a1 - 3 * a0) - eps * (a1 - 2 * a0)
             assert cert.min_l == pytest.approx(expected, rel=1e-13)
@@ -202,8 +202,8 @@ def test_min_affine_modulus_vs_dense_sampling():
         assert sampled - analytic <= 1e-6 * max(1.0, abs(slope) * radius)
 
 
-def test_auto_eps_search(step18_series):
-    best, table = auto_rouche_epsilon(step18_series)
+def test_auto_eps_search(step18):
+    best, table = auto_rouche_epsilon(step18)
     assert best is not None and 0.001 <= best <= 0.03
     assert all(cert.holds for eps, cert in table if eps <= best)
     # 0.05 fails, so the best passing value stays below it
@@ -214,17 +214,17 @@ def test_auto_eps_search(step18_series):
 # winding counter
 # --------------------------------------------------------------------------
 
-def test_winding_counts_across_radii(step18_series):
+def test_winding_counts_across_radii(step18):
     # the one zero sits near -0.477: outside |t|<0.3, inside |t|<0.7
-    rep_small = count_zeros_winding(step18_series, 0.3)
+    rep_small = count_zeros_winding(step18, 0.3)
     assert rep_small.certified and rep_small.zero_count == 0
-    rep_large = count_zeros_winding(step18_series, 0.7)
+    rep_large = count_zeros_winding(step18, 0.7)
     assert rep_large.certified and rep_large.zero_count == 1
     assert len(rep_large.located_zeros) == 1
     zero = rep_large.located_zeros[0]
     assert zero.location.imag == 0.0          # real zero reported once
     assert abs(zero.location - STEP_ZERO) <= 1e-12
-    assert zero.residual <= 1e-9 * step18_series.alpha(0)
+    assert zero.residual <= 1e-9 * step18.alphas(0)[0]
 
 
 @pytest.mark.parametrize("weight", [
@@ -232,27 +232,27 @@ def test_winding_counts_across_radii(step18_series):
     StepWeight.from_plateau(25.0, 0.8), DiracAugmentedWeight(1.5),
     DiracAugmentedWeight(10.0), DiracAugmentedWeight(100.0)], ids=lambda w: w.label())
 def test_locates_every_counted_zero(weight):
-    rep = count_zeros_winding(KernelSeries(weight), 0.99)
+    rep = count_zeros_winding(weight, 0.99)
     assert rep.certified and rep.zero_count >= 1
     assert len(rep.located_zeros) == rep.zero_count
     assert rep.diagnostics == ""
 
 
-def test_located_plateau_zero_matches_oracle(step18_series):
-    (zero,) = count_zeros_winding(step18_series, 0.99).located_zeros
+def test_located_plateau_zero_matches_oracle(step18):
+    (zero,) = count_zeros_winding(step18, 0.99).located_zeros
     assert zero.location.imag == 0.0
     assert abs(zero.location.real - STEP_ZERO) <= 1e-12
 
 
 @pytest.mark.parametrize("mass", [1.5, 10.0, 100.0])
 def test_located_point_mass_zero_matches_closed_form(mass):
-    (zero,) = count_zeros_winding(KernelSeries(DiracAugmentedWeight(mass)), 0.99).located_zeros
+    (zero,) = count_zeros_winding(DiracAugmentedWeight(mass), 0.99).located_zeros
     assert abs(zero.location - (1.0 - math.sqrt(1.0 + PI / mass))) <= 1e-12
 
 
 def test_located_conjugate_pair_is_exact():
     lower, upper = count_zeros_winding(
-        KernelSeries(StepWeight.from_plateau(12.0, 0.6)), 0.99).located_zeros
+        StepWeight.from_plateau(12.0, 0.6), 0.99).located_zeros
     assert upper.location.imag > 0.0
     assert upper.location == lower.location.conjugate()
     assert upper.residual == lower.residual
@@ -260,16 +260,16 @@ def test_located_conjugate_pair_is_exact():
 
 def test_newton_refine_counts_steps_not_evaluations():
     mass = 10.0
-    series = KernelSeries(DiracAugmentedWeight(mass))
+    weight = DiracAugmentedWeight(mass)
     exact = 1.0 - math.sqrt(1.0 + PI / mass)
-    target = 1e-9 * series.alpha(0)
-    assert zeros._newton_refine(series, exact, target).iterations == 0
-    assert zeros._newton_refine(series, exact + 1e-3, target).iterations >= 1
+    target = 1e-9 * weight.alphas(0)[0]
+    assert zeros._newton_refine(weight, exact, target).iterations == 0
+    assert zeros._newton_refine(weight, exact + 1e-3, target).iterations >= 1
 
 
-def test_locate_shortfall_is_reported(step18_series, monkeypatch):
+def test_locate_shortfall_is_reported(step18, monkeypatch):
     monkeypatch.setattr(zeros, "_newton_refine", lambda *args, **kwargs: None)
-    rep = count_zeros_winding(step18_series, 0.7)
+    rep = count_zeros_winding(step18, 0.7)
     assert rep.certified and rep.zero_count == 1
     assert rep.located_zeros == ()
     assert rep.diagnostics == "located 0 of 1 certified zeros"
@@ -278,86 +278,87 @@ def test_locate_shortfall_is_reported(step18_series, monkeypatch):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.floats(min_value=0.1, max_value=40.0), st.floats(min_value=0.05, max_value=0.95))
 def test_plateau_located_count_equals_certified_count(a, x):
-    series = KernelSeries(StepWeight.from_plateau(a, x))
-    rep = count_zeros_winding(series, 0.99)
+    weight = StepWeight.from_plateau(a, x)
+    rep = count_zeros_winding(weight, 0.99)
     assert rep.certified
     assert len(rep.located_zeros) == rep.zero_count
-    assert all(z.residual <= 1e-9 * series.alpha(0) for z in rep.located_zeros)
+    assert all(z.residual <= 1e-9 * weight.alphas(0)[0] for z in rep.located_zeros)
 
 
-def test_brute_force_minimum_on_small_disc(step18_series):
+def test_brute_force_minimum_on_small_disc(step18):
     # |F| stays above a positive floor on |t| <= 0.3 (grid + certified tail)
-    coeffs = step18_series.alphas(200).astype(complex)
+    coeffs = step18.alphas(200).astype(complex)
     rr = np.linspace(0, 0.3, 151)
     th = np.linspace(0, PI, 301)
     pts = (rr[:, None] * np.exp(1j * th[None, :])).ravel()
-    floor = float(np.min(np.abs(_polyval(pts, coeffs)))) - step18_series.tail_bound(0.3, 200)
+    floor = float(np.min(np.abs(_polyval(pts, coeffs)))) - tail_bound(step18.alpha_bound, 0.3, 200)
     assert floor > 0.03
 
 
-def test_winding_constant_weight_no_zeros(const1_series):
-    rep = count_zeros_winding(const1_series, 0.9)
+def test_winding_constant_weight_no_zeros(const1):
+    rep = count_zeros_winding(const1, 0.9)
     assert rep.certified and rep.zero_count == 0
     assert rep.located_zeros == ()
 
 
-def test_winding_certification_margin(step18_series):
-    rep = count_zeros_winding(step18_series, 0.7)
+def test_winding_certification_margin(step18):
+    rep = count_zeros_winding(step18, 0.7)
     assert rep.min_contour_modulus > rep.tail * (1 + 0.7) ** 2
 
 
-def test_winding_stability_under_radius_perturbation(step18_series):
-    base = count_zeros_winding(step18_series, 0.7, locate=False)
+def test_winding_stability_under_radius_perturbation(step18):
+    base = count_zeros_winding(step18, 0.7, locate=False)
     for d in (1e-3, -1e-3):
-        rep = count_zeros_winding(step18_series, 0.7 + d, locate=False)
+        rep = count_zeros_winding(step18, 0.7 + d, locate=False)
         assert rep.zero_count == base.zero_count
 
 
-def test_certificate_implies_winding_count(step18_series):
-    cert = rouche_certificate(step18_series, 0.01)
+def test_certificate_implies_winding_count(step18):
+    cert = rouche_certificate(step18, 0.01)
     assert cert.holds
-    rep = count_zeros_winding(step18_series, cert.ring_radius, locate=False)
+    rep = count_zeros_winding(step18, cert.ring_radius, locate=False)
     assert rep.certified and rep.zero_count >= 1
 
 
-def test_scale_invariance_of_verdicts(step18_series):
-    for factor in (0.01, 137.0):
-        scaled = step18_series.scaled(factor)
+def test_scale_invariance_of_verdicts():
+    # f*lam has coefficients alpha_n/f, so zeros and verdicts stay put; its
+    # comparability constant, and with it N and the Newton start, change
+    for factor in (2.0 ** -7, 2.0 ** 7):
+        scaled = StepWeight.from_plateau(18.0 * factor, 0.25, factor)
         assert rouche_certificate(scaled, 0.01).holds
         assert not rouche_certificate(scaled, 0.05).holds
         rep = count_zeros_winding(scaled, 0.7)
         assert rep.certified and rep.zero_count == 1
-        assert abs(rep.located_zeros[0].location - STEP_ZERO) <= 1e-12
+        assert abs(rep.located_zeros[0].location - STEP_ZERO) <= 1e-10
 
 
-def test_winding_contour_through_zero_still_resolves(step18_series):
+def test_winding_contour_through_zero_still_resolves(step18):
     # contour radius equal (to float precision) to the zero's modulus: either
     # the truncation's zero lands strictly inside with a valid margin, or the
     # counter perturbs rho; both must yield a certified, stable answer
-    rep = count_zeros_winding(step18_series, 0.476874666838925, locate=False)
+    rep = count_zeros_winding(step18, 0.476874666838925, locate=False)
     assert rep.certified
     assert rep.zero_count in (0, 1)
-    inside = count_zeros_winding(step18_series, 0.479, locate=False)
-    outside = count_zeros_winding(step18_series, 0.474, locate=False)
+    inside = count_zeros_winding(step18, 0.479, locate=False)
+    outside = count_zeros_winding(step18, 0.474, locate=False)
     assert (inside.zero_count, outside.zero_count) == (1, 0)
 
 
-def test_winding_grows_truncation_past_spurious_zeros(const1_series):
+def test_winding_grows_truncation_past_spurious_zeros(const1):
     # at n_terms=30 the truncation's own zeros sit near |t| = (1/32)^(1/31);
     # the counter must deepen the truncation until the contour clears them
-    rep = count_zeros_winding(const1_series, 0.894, n_terms=30, locate=False)
+    rep = count_zeros_winding(const1, 0.894, n_terms=30, locate=False)
     assert rep.certified and rep.zero_count == 0
     assert rep.n_terms > 30
 
 
-def test_winding_rejects_bad_radius(step18_series):
+def test_winding_rejects_bad_radius(step18):
     with pytest.raises(ValueError):
-        count_zeros_winding(step18_series, 1.0)
+        count_zeros_winding(step18, 1.0)
 
 
 def test_near_constant_plateau_has_no_zeros():
-    series = KernelSeries(StepWeight.from_plateau(1.0 + 1e-6, 0.25))
-    rep = count_zeros_winding(series, 0.95, locate=False)
+    rep = count_zeros_winding(StepWeight.from_plateau(1.0 + 1e-6, 0.25), 0.95, locate=False)
     assert rep.certified and rep.zero_count == 0
 
 
@@ -365,9 +366,9 @@ def test_near_constant_plateau_has_no_zeros():
 # contour lower bound
 # --------------------------------------------------------------------------
 
-def _fine_contour(series, rep, factor):
+def _fine_contour(weight, rep, factor):
     """|p| minimum and winding of the certified polynomial on `factor` x more points."""
-    coeffs = diagonal_poly(series, rep.n_terms)
+    coeffs = diagonal_poly(weight, rep.n_terms)
     scaled = coeffs * rep.rho_used ** np.arange(len(coeffs))
     values = np.fft.ifft(scaled, factor * rep.contour_samples, norm="forward")
     steps = np.angle(np.roll(values, -1) * np.conj(values))
@@ -377,10 +378,10 @@ def _fine_contour(series, rep, factor):
 def test_contour_bound_below_dense_minimum_on_tight_plateau():
     # --step 11,0.95 at rho 0.99: 2^20 FFT points reach 7.7544e-3, below the
     # 8.27e-3 that sampling the contour alone reported
-    series = KernelSeries(StepWeight.from_plateau(11.0, 0.95))
-    rep = count_zeros_winding(series, 0.99, locate=False)
+    weight = StepWeight.from_plateau(11.0, 0.95)
+    rep = count_zeros_winding(weight, 0.99, locate=False)
     assert rep.certified and rep.zero_count == 2
-    dense_min, dense_winding = _fine_contour(series, rep, (1 << 20) // rep.contour_samples)
+    dense_min, dense_winding = _fine_contour(weight, rep, (1 << 20) // rep.contour_samples)
     assert rep.min_contour_modulus <= dense_min <= 7.7544e-3
     assert dense_winding == rep.zero_count
     assert rep.min_contour_modulus > rep.tail * (1.0 + rep.rho_used) ** 2
@@ -391,10 +392,11 @@ def test_contour_bound_below_dense_minimum_on_tight_plateau():
        st.floats(min_value=0.5, max_value=0.99), st.booleans())
 def test_contour_bound_below_finer_minimum(a, x, rho, smooth):
     weight = StepWeight.from_plateau(a, x)
-    series = KernelSeries(mollify_weight(weight, 0.02) if smooth else weight)
-    rep = count_zeros_winding(series, rho, locate=False)
+    if smooth:
+        weight = mollify_weight(weight, 0.02)
+    rep = count_zeros_winding(weight, rho, locate=False)
     assert rep.certified
-    fine_min, fine_winding = _fine_contour(series, rep, 16)
+    fine_min, fine_winding = _fine_contour(weight, rep, 16)
     assert 0.0 < rep.min_contour_modulus <= fine_min
     assert fine_winding == rep.zero_count
 
@@ -418,9 +420,9 @@ def test_contour_away_from_zeros_counts_them():
         0.7 * np.exp(2j * PI * np.arange(samples) / samples), coeffs), rtol=0, atol=1e-13)
 
 
-def test_n_terms_beyond_max_terms_rejected(step18_series):
+def test_n_terms_beyond_max_terms_rejected(step18):
     with pytest.raises(ValueError, match="MAX_TERMS"):
-        count_zeros_winding(step18_series, 0.9, n_terms=10 ** 9)
+        count_zeros_winding(step18, 0.9, n_terms=10 ** 9)
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +489,7 @@ def test_mollify_degenerate_constant():
 
 def test_mollified_kernel_keeps_zero(step18):
     smooth = mollify_weight(step18, 1e-3)
-    rep = count_zeros_winding(KernelSeries(smooth), 0.7)
+    rep = count_zeros_winding(smooth, 0.7)
     assert rep.certified and rep.zero_count == 1
     assert abs(rep.located_zeros[0].location - STEP_ZERO) <= 1e-2
 
@@ -533,11 +535,11 @@ def test_dirac_rejects_negative_mass():
 
 def test_dirac_series_winding_cross_check():
     # independent route: run the argument-principle counter on the series
-    rep = count_zeros_winding(KernelSeries(DiracAugmentedWeight(10.0)), 0.5)
+    rep = count_zeros_winding(DiracAugmentedWeight(10.0), 0.5)
     assert rep.certified and rep.zero_count == 1
     expected = 1.0 - math.sqrt(1.0 + PI / 10.0)
     assert abs(rep.located_zeros[0].location - expected) <= 1e-12
-    rep_none = count_zeros_winding(KernelSeries(DiracAugmentedWeight(1.0)), 0.9, locate=False)
+    rep_none = count_zeros_winding(DiracAugmentedWeight(1.0), 0.9, locate=False)
     assert rep_none.certified and rep_none.zero_count == 0
 
 
