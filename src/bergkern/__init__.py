@@ -9,10 +9,9 @@ projection with exact monomial orthogonality on its grid.
 __version__ = "0.1.0"
 
 from .kernel import KernelValue, ToleranceError, diagonal_poly, kernel_eval, tail_bound
-from .regularity import (CoefficientSequence, NecessaryCheck, SchurIntegral, SchurReport,
-                         SufficientCheck, decompose_b, log_beta, necessary_check,
-                         schur_bound_check, schur_integral, schur_integral_quadrature,
-                         sufficient_check)
+from .regularity import (CoefficientConditions, SchurIntegral, SchurReport,
+                         coefficient_conditions, log_beta, schur_bound_check, schur_integral,
+                         schur_integral_quadrature)
 from .projector import (DiscreteProjector, ProbeResult, SplitWitness, build_projector,
                         cs_split_witness, default_family, lp_norm, lp_probe, project)
 from .weights import (ConstantWeight, DiracAugmentedWeight, MomentEntry, MomentTable,
@@ -37,8 +36,7 @@ __all__ = [
     "second_difference_bound", "rouche_certificate", "auto_rouche_epsilon",
     "count_zeros_winding", "sweep_step_weights", "mollify_weight",
     "dirac_zero_threshold", "dirac_kernel_value", "inflation_check", "reinhardt_monomial_norm",
-    "CoefficientSequence", "NecessaryCheck", "SufficientCheck", "SchurIntegral", "SchurReport",
-    "necessary_check", "sufficient_check", "decompose_b", "log_beta",
+    "CoefficientConditions", "SchurIntegral", "SchurReport", "coefficient_conditions", "log_beta",
     "schur_integral", "schur_integral_quadrature", "schur_bound_check",
     "DiscreteProjector", "ProbeResult", "SplitWitness",
     "build_projector", "project", "lp_norm", "lp_probe", "cs_split_witness", "default_family",

@@ -16,8 +16,8 @@ import numpy as np
 
 from .projector import (build_projector, cs_split_witness, default_family, function_from_spec,
                         inner_product, lp_probe, project)
-from .regularity import (CoefficientSequence, schur_bound_check, schur_integral,
-                         schur_integral_quadrature, schur_theoretical_constant)
+from .regularity import (schur_bound_check, schur_integral, schur_integral_quadrature,
+                         schur_theoretical_constant)
 from .weights import ConstantWeight, StepWeight, alphas_closed_form, moment_quadrature
 from .zeros import (count_zeros_winding, dirac_zero_threshold, inflation_check,
                     mollify_weight, rouche_certificate, second_difference_bound)
@@ -185,11 +185,11 @@ def criterion_inflation() -> CriterionResult:
 
 def criterion_schur() -> CriterionResult:
     """9: closed-form constant dominates the ratio grid; series == quadrature."""
-    seq = CoefficientSequence(betas=np.ones(2001), source="ones")
+    ones = np.ones(2001)
     grid = np.arange(0.0, 0.991, 0.01)
     ratio_ok = True
     for eps in (-0.75, -0.5, -2.0 / 9.0):
-        report = schur_bound_check(seq, eps, grid)
+        report = schur_bound_check(ones, eps, grid)
         ratio_ok = ratio_ok and report.passes \
             and report.empirical_c <= schur_theoretical_constant(eps) * (1 + 1e-6)
     rng = np.random.default_rng(9)
@@ -197,8 +197,8 @@ def criterion_schur() -> CriterionResult:
     for _ in range(10):
         eps = rng.uniform(-0.9, -0.1)
         r = rng.uniform(0.0, 0.95)
-        series_val = schur_integral(seq, eps, r).value
-        quad_val = schur_integral_quadrature(seq, eps, r)
+        series_val = schur_integral(ones, eps, r).value
+        quad_val = schur_integral_quadrature(ones, eps, r)
         worst_rel = max(worst_rel, _rel(series_val, quad_val))
     ok = ratio_ok and worst_rel <= 1e-6
     return CriterionResult(

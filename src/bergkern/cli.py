@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .kernel import MAX_TERMS, ToleranceError, kernel_eval
-from .regularity import (CoefficientSequence, decompose_b, necessary_check, schur_bound_check,
-                         sufficient_check)
+from .regularity import coefficient_conditions, schur_bound_check
 from .weights import (ConstantWeight, StepWeight, WeightError, QuadratureError, load_weight,
                       moment_table)
 from .zeros import (auto_rouche_epsilon, count_zeros_winding, dirac_zero_threshold,
@@ -217,56 +216,60 @@ def _cmd_inflate_check(args, parser) -> int:
     return 0 if chk.agree else 1
 
 
-def _sequence_for(args, weight) -> CoefficientSequence:
-    seq = CoefficientSequence.from_weight(weight, args.n_terms)
-    if args.sequence == "alpha":
-        return seq
+def _sequence_for(args, weight):
+    """(name printed as sequence=, beta_0..beta_N) for ``schur --sequence``."""
+    if not 2 <= args.n_terms <= MAX_TERMS:
+        raise ValueError(f"-N {args.n_terms} is outside [2, MAX_TERMS = {MAX_TERMS}]")
     if args.sequence == "ones":
-        return CoefficientSequence(betas=np.ones(args.n_terms + 1), source="ones")
+        return "ones", np.ones(args.n_terms + 1)
+    alphas = weight.alphas(args.n_terms)
+    if args.sequence == "alpha":
+        return "weight", alphas
     # default: the bounded object the squared-kernel lemma applies to
-    return CoefficientSequence(betas=decompose_b(seq).b, source="diff", weight=weight)
+    return "diff", np.diff(alphas, prepend=0.0)
 
 
 def _cmd_schur(args, parser) -> int:
     weight = resolve_weight(args, parser)
-    seq = _sequence_for(args, weight)
-    report = schur_bound_check(seq, args.eps, args.grid)
+    name, betas = _sequence_for(args, weight)
+    report = schur_bound_check(betas, args.eps, args.grid)
     rows = [[f"{r:.10g}", repr(v)] for r, v in zip(report.z_grid, report.ratios)]
     emit_csv(
-        f"I(eps,z)/(1-|z|^2)^eps over radius grid; eps={args.eps}; sequence={seq.source}; "
+        f"I(eps,z)/(1-|z|^2)^eps over radius grid; eps={args.eps}; sequence={name}; "
         f"sup|beta|={report.sup_beta!r}; empirical_C={report.empirical_c!r}; "
         f"theoretical_C={report.theoretical_c!r}; passes={report.passes}; units {TRUE_UNITS}",
         ["radius", "ratio"], rows, args.out)
     return 0 if report.passes else 1
 
 
+COEFF_NOTE = ("finite_trend and bounded_verdict are proven for all n from the weight's outer "
+              "tail: limsup alpha_n/n = lim (alpha_{n+1} - alpha_n) = first_difference_limit; "
+              "limsup_estimate, sup_diff, sup_b and within_window cover only n <= n_max")
+
+
 def _cmd_coeff_check(args, parser) -> int:
     weight = resolve_weight(args, parser)
     factor = 2.0 * math.pi if args.scaled_units else 1.0
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
-    seq = CoefficientSequence.from_weight(weight, args.n_terms)
-    nec = necessary_check(seq)
-    suf = sufficient_check(seq)
-    dec = decompose_b(seq)
-    sd = second_difference_bound(weight, min(args.n_terms, 500) if args.n_terms >= 2 else 2)
-    a = weight.alphas(args.n_terms)
+    cc = coefficient_conditions(weight, args.n_terms)
+    sd = second_difference_bound(weight, min(args.n_terms, 500))
     payload = {
         "weight": weight.label(), "n_max": args.n_terms, "units": units,
-        "limsup_estimate": nec.limsup_estimate * factor,
-        "finite_trend": nec.finite_trend,
-        "sup_diff": suf.sup_diff * factor,
-        "bounded_verdict": suf.bounded_verdict,
-        "window_low": None if suf.window_low is None else suf.window_low * factor,
-        "window_high": None if suf.window_high is None else suf.window_high * factor,
-        "within_window": suf.within_window,
-        "sup_b": dec.sup_abs * factor,
+        "limsup_estimate": cc.limsup_estimate * factor,
+        "finite_trend": cc.proven,
+        "sup_diff": cc.sup_diff * factor,
+        "bounded_verdict": cc.proven,
+        "window_low": None if cc.window_low is None else cc.window_low * factor,
+        "window_high": None if cc.window_high is None else cc.window_high * factor,
+        "within_window": cc.within_window,
+        "sup_b": cc.sup_b * factor,
         "second_difference_all_negative": sd.all_negative,
         "sign_certified_exact": sd.sign_certified,
         "telescoped_value": sd.telescoped_value * factor,
         "s_bound": sd.s_bound * factor,
         "first_difference_limit": sd.first_difference_limit * factor,
-        "last_first_difference": float(a[-1] - a[-2]) * factor,
-        "note": "necessary/sufficient checks are finite-range witnesses, not proofs",
+        "last_first_difference": cc.last_first_difference * factor,
+        "note": COEFF_NOTE,
     }
     emit_json(payload, args.out)
     return 0

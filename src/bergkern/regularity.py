@@ -1,13 +1,17 @@
 """Coefficient conditions and Schur-test diagnostics for L^p boundedness.
 
 For an integral operator on the disc with kernel sum_n beta_n (z*conj(w))^n
-two computable conditions are probed:
+two coefficient conditions matter:
 
 * necessary: limsup |beta_n|/n finite,
 * sufficient: the difference sequence beta_n - beta_{n-1} bounded.
 
-Both are finite-range witnesses with an explicit trend heuristic, flagged
-as such -- they observe, they do not prove.
+For the kernel of a radial weight both are proven from the weight's outer
+tail.  (n+1) mu_n/pi = v_out + g_n with |g_n| <= G q^(n+1), so with v_out > 0
+and q < 1, alpha_n = (n+1)/(pi (v_out + g_n)) gives
+limsup alpha_n/n = lim (alpha_{n+1} - alpha_n) = 1/(pi v_out).
+``coefficient_conditions`` reports that proof next to finite-range maxima
+over the computed coefficients.
 
 The quantitative engine is the weighted integral
 
@@ -18,7 +22,8 @@ sum |beta_n|^2 |z|^(2n) * pi * B(n+1, eps+1).  For bounded sequences it is
 dominated by pi*(1/(eps+1) - 1/eps) * (1-|z|^2)^eps, the closed-form
 constant checked by ``schur_bound_check``.  A direct two-dimensional polar
 quadrature of the defining integral is kept alongside as an independent
-route (``schur_integral_quadrature``).
+route (``schur_integral_quadrature``).  The Schur routines take a real 1-D
+array beta_0..beta_N.
 """
 
 from __future__ import annotations
@@ -32,117 +37,46 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class CoefficientSequence:
-    betas: np.ndarray
-    source: str = "user"
-    weight: object = None      # set when derived from a weight's kernel coefficients
-
-    def __post_init__(self):
-        arr = np.asarray(self.betas, dtype=complex)
-        if arr.ndim != 1 or len(arr) < 3:
-            raise ValueError("need a one-dimensional sequence with at least 3 entries")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sequence entries must be finite")
-        object.__setattr__(self, "betas", arr)
-
-    @classmethod
-    def from_weight(cls, weight, n_max: int) -> "CoefficientSequence":
-        return cls(betas=weight.alphas(n_max), source="weight", weight=weight)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.betas) - 1
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.betas)))
+class CoefficientConditions:
+    """The coefficient conditions for a weight's kernel, in true units."""
+    proven: bool                  # the outer tail proves both conditions for all n
+    limsup_estimate: float        # max alpha_n/n over the last half of n = 1..N
+    sup_diff: float               # max |alpha_n - alpha_{n-1}| over n = 1..N
+    sup_b: float                  # the same with b_0 = alpha_0 included
+    last_first_difference: float  # alpha_N - alpha_{N-1}
+    window_low: Optional[float]   # comparability window of the first differences,
+    window_high: Optional[float]  # None for a weight without a comparability constant
+    within_window: Optional[bool]  # every computed first difference lies in the window
 
 
-def _tail_is_flat(window: np.ndarray) -> bool:
-    """Trend heuristic on the tail window of a nonnegative sequence.
+def coefficient_conditions(weight, n_max: int) -> CoefficientConditions:
+    """Both coefficient conditions of the weight's kernel, from one ``weight.alphas(n_max)``.
 
-    Flat means non-increasing, or: the least-squares slope projects to
-    under 5% growth of the window's median across the window, and no entry
-    exceeds twice that median.  Linearly growing tails fail, bounded noisy
-    tails pass.
+    ``proven`` holds when ``weight.outer_tail()`` gives v_out > 0 and q < 1:
+    then limsup alpha_n/n = lim (alpha_{n+1} - alpha_n) = 1/(pi v_out) (module
+    docstring), so the necessary condition holds and the differences are
+    bounded.  The other fields are maxima over the computed range.  For a weight
+    comparable to 1 each factor of the moment ratio is squeezed by C, giving
+        1/(C^3 pi) <= alpha_{n+1} - alpha_n <= C^3/pi,
+    which ``within_window`` checks on n < n_max.
     """
-    if len(window) < 4:
-        return True
-    if np.all(np.diff(window) <= 1e-12 * max(window.max(), 1.0)):
-        return True
-    med = float(np.median(window))
-    idx = np.arange(len(window), dtype=float)
-    slope = float(np.polyfit(idx, window, 1)[0])
-    projected_growth = slope * len(window)
-    return projected_growth <= 0.05 * max(med, 1e-300) and window.max() <= 2.0 * med
-
-
-@dataclass(frozen=True)
-class NecessaryCheck:
-    limsup_estimate: float
-    finite_trend: bool
-    note: str = "finite-range witness, not a proof"
-
-
-def necessary_check(seq: CoefficientSequence) -> NecessaryCheck:
-    """Witness for limsup |beta_n|/n < infinity.
-
-    Reports the max of |beta_n|/n over the last half of the computed range
-    and whether that tail looks flat (see _tail_is_flat).
-    """
-    if seq.n_max < 10:
-        raise ValueError("need at least 10 computed coefficients")
-    n = np.arange(1, seq.n_max + 1, dtype=float)
-    ratios = np.abs(seq.betas[1:]) / n
-    window = ratios[len(ratios) // 2:]
-    return NecessaryCheck(limsup_estimate=float(window.max()),
-                          finite_trend=_tail_is_flat(window))
-
-
-@dataclass(frozen=True)
-class DifferenceDecomposition:
-    b: np.ndarray             # b_n = beta_n - beta_{n-1}, beta_{-1} = 0
-    sup_abs: float
-
-
-def decompose_b(seq: CoefficientSequence) -> DifferenceDecomposition:
-    b = np.diff(seq.betas, prepend=0.0 + 0.0j)
-    return DifferenceDecomposition(b=b, sup_abs=float(np.max(np.abs(b))))
-
-
-@dataclass(frozen=True)
-class SufficientCheck:
-    sup_diff: float
-    bounded_verdict: bool
-    # filled for weight-derived sequences: the first differences must land in
-    # [1/(C^3 pi), C^3/pi] by the comparability chain
-    window_low: Optional[float] = None
-    window_high: Optional[float] = None
-    within_window: Optional[bool] = None
-    note: str = "finite-range witness, not a proof"
-
-
-def sufficient_check(seq: CoefficientSequence) -> SufficientCheck:
-    """Witness for boundedness of the difference sequence.
-
-    For sequences coming from a weight comparable to 1 the differences are
-    additionally checked against the comparability window: each factor of
-    the moment ratio is squeezed by C, giving
-        1/(C^3 pi) <= alpha_{n+1} - alpha_n <= C^3/pi.
-    """
-    if seq.n_max < 10:
-        raise ValueError("need at least 10 computed coefficients")
-    diffs = np.abs(np.diff(seq.betas))
-    window = diffs[len(diffs) // 2:]
-    sup_diff = float(diffs.max())
-    verdict = _tail_is_flat(window)
-    if seq.weight is not None and hasattr(seq.weight, "comparability_constant"):
-        c3 = seq.weight.comparability_constant ** 3
-        lo, hi = 1.0 / (c3 * math.pi), c3 / math.pi
-        real_diffs = np.real(np.diff(seq.betas))
-        inside = bool(np.all((real_diffs >= lo * (1 - 1e-12)) & (real_diffs <= hi * (1 + 1e-12))))
-        return SufficientCheck(sup_diff=sup_diff, bounded_verdict=verdict,
-                               window_low=lo, window_high=hi, within_window=inside)
-    return SufficientCheck(sup_diff=sup_diff, bounded_verdict=verdict)
+    if n_max < 10:
+        raise ValueError(f"need n_max >= 10 computed coefficients, got {n_max}")
+    a = weight.alphas(n_max)
+    v_out, _, q = weight.outer_tail()
+    ratios = a[1:] / np.arange(1, n_max + 1, dtype=float)
+    diffs = np.diff(a)
+    sup_diff = float(np.max(np.abs(diffs)))
+    lo = hi = inside = None
+    c = getattr(weight, "comparability_constant", None)
+    if c is not None:
+        lo, hi = 1.0 / (c ** 3 * math.pi), c ** 3 / math.pi
+        inside = bool(np.all((diffs >= lo * (1 - 1e-12)) & (diffs <= hi * (1 + 1e-12))))
+    return CoefficientConditions(
+        proven=bool(v_out > 0.0 and q < 1.0),
+        limsup_estimate=float(np.max(ratios[len(ratios) // 2:])), sup_diff=sup_diff,
+        sup_b=max(abs(float(a[0])), sup_diff), last_first_difference=float(diffs[-1]),
+        window_low=lo, window_high=hi, within_window=inside)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +114,7 @@ def _beta_factors(length: int, epsilon: float) -> np.ndarray:
     return beta
 
 
-def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) -> SchurIntegral:
+def schur_integral(betas, epsilon: float, z_radius: float) -> SchurIntegral:
     """I(eps, z) by the orthogonality reduction.
 
     int_D |w|^(2n) (1-|w|^2)^eps dA = pi * B(n+1, eps+1), so
@@ -191,23 +125,23 @@ def schur_integral(seq: CoefficientSequence, epsilon: float, z_radius: float) ->
     _check_epsilon(epsilon)
     if not 0.0 <= z_radius < 1.0:
         raise ValueError(f"need |z| < 1, got {z_radius}")
-    n = np.arange(len(seq.betas))
-    terms = np.abs(seq.betas) ** 2 * z_radius ** (2 * n) * math.pi \
-        * _beta_factors(len(seq.betas), epsilon)
+    betas = np.asarray(betas, dtype=float)
+    n = np.arange(len(betas))
+    terms = np.abs(betas) ** 2 * z_radius ** (2 * n) * math.pi * _beta_factors(len(betas), epsilon)
     value = float(np.sum(terms))
     if z_radius == 0.0:
         tail = 0.0
     else:
-        sup2 = seq.sup_abs() ** 2
+        sup2 = float(np.max(np.abs(betas))) ** 2
         tail = sup2 * math.pi / (epsilon + 1.0) \
-            * z_radius ** (2 * (seq.n_max + 1)) / (1.0 - z_radius ** 2)
+            * z_radius ** (2 * len(betas)) / (1.0 - z_radius ** 2)
     return SchurIntegral(value=value, tail=tail)
 
 
 SCHUR_QUAD_TOL = 1e-11     # absolute and relative tolerance of the radial quadrature
 
 
-def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius: float) -> float:
+def schur_integral_quadrature(betas, epsilon: float, z_radius: float) -> float:
     """Direct polar quadrature of the defining integral (independent route).
 
     The angular integral of |sum beta_n (z*conj(w))^n|^2 is a trigonometric
@@ -217,11 +151,11 @@ def schur_integral_quadrature(seq: CoefficientSequence, epsilon: float, z_radius
     """
     from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
     _check_epsilon(epsilon)
-    n_max = seq.n_max
+    betas = np.asarray(betas, dtype=float)
+    n_max = len(betas) - 1
     m = max(64, n_max + 1)
     thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     phase = np.exp(-1j * thetas)
-    betas = seq.betas
     uniform = bool(np.all(betas == betas[0]))
 
     def angular_mean(radius: float) -> float:
@@ -257,14 +191,15 @@ def schur_theoretical_constant(epsilon: float) -> float:
     return math.pi * (1.0 / (epsilon + 1.0) - 1.0 / epsilon)
 
 
-def schur_bound_check(seq: CoefficientSequence, epsilon: float, grid) -> SchurReport:
+def schur_bound_check(betas, epsilon: float, grid) -> SchurReport:
     """Empirical sup of I(eps,z)/(1-|z|^2)^eps over a radius grid vs the
     closed-form constant (after normalizing by sup |beta|^2)."""
     theoretical = schur_theoretical_constant(epsilon)
+    betas = np.asarray(betas, dtype=float)
     radii = tuple(float(r) for r in grid)
-    ratios = [schur_integral(seq, epsilon, r).upper / (1.0 - r ** 2) ** epsilon for r in radii]
+    ratios = [schur_integral(betas, epsilon, r).upper / (1.0 - r ** 2) ** epsilon for r in radii]
     empirical = max(ratios)
-    sup = seq.sup_abs()
+    sup = float(np.max(np.abs(betas)))
     return SchurReport(epsilon=epsilon, z_grid=radii, ratios=tuple(ratios),
                        empirical_c=float(empirical), theoretical_c=theoretical,
                        sup_beta=sup,

@@ -352,7 +352,8 @@ class MomentEntry:
     mu: float
     alpha: float
     method: str          # "closed_form" | "quadrature"
-    err: float           # relative error bound on the computed moment
+    err: float           # nominal relative error: a fixed 5e-16 for the closed form (not
+                         # a proven bound), quad's error estimate for quadrature
 
 
 @dataclass(frozen=True)

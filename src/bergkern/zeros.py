@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import diagonal_poly, eval_diagonal, kernel_eval, tail_bound, terms_for_tolerance
+from .kernel import (ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, tail_bound,
+                     terms_for_tolerance)
 from .weights import SampledWeight, StepWeight, as_step, radial_integral
 
 _polyval = np.polynomial.polynomial.polyval
@@ -57,6 +58,8 @@ class SecondDifferenceSummary:
     all_negative: bool
     sign_certified: bool         # True when every sign up to n_cutoff is proven from the weight data
     first_difference_limit: float  # lim_k (alpha_k - alpha_{k-1}) = 1/(pi * outer value)
+    alpha_0: float               # alpha_0 and alpha_1 of the same coefficients, which give
+    alpha_1: float               # the affine part of the Rouche split
 
 
 def _gamma(m):      # Higham's gamma_m = m u / (1 - m u), the relative error of m roundings
@@ -157,7 +160,7 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
         n_cutoff=n_cutoff, partial_sum=abs_sum, telescoped_value=float(telescoped),
         remainder_bound=float(remainder), s_bound=partial + float(remainder),
         all_negative=all_negative, sign_certified=sign_certified,
-        first_difference_limit=1.0 / (math.pi * v_out))
+        first_difference_limit=1.0 / (math.pi * v_out), alpha_0=float(a[0]), alpha_1=float(a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,20 @@ def min_affine_modulus_on_circle(a0: float, slope: float, radius: float) -> floa
     return abs(a0 - abs(slope) * radius)
 
 
+def _rouche(epsilon: float, sd: SecondDifferenceSummary) -> RoucheCertificate:
+    ring = 1.0 - epsilon
+    a0 = sd.alpha_0
+    slope = sd.alpha_1 - 2.0 * a0
+    root = -a0 / slope if slope != 0.0 else None
+    min_l = a0 if slope == 0.0 else min_affine_modulus_on_circle(a0, slope, ring)
+    root_inside = root is not None and abs(root) < ring
+    return RoucheCertificate(
+        epsilon=epsilon, ring_radius=ring, linear_root=root,
+        min_l=float(min_l), s_bound=sd.s_bound,
+        holds=bool(root_inside and min_l > sd.s_bound),
+        second_differences=sd)
+
+
 def rouche_certificate(weight, epsilon: float, n_cutoff: int = 400,
                        alphas=None) -> RoucheCertificate:
     """Zero-existence certificate on the ring |t| = 1 - epsilon.
@@ -196,19 +213,7 @@ def rouche_certificate(weight, epsilon: float, n_cutoff: int = 400,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    ring = 1.0 - epsilon
-    sd = second_difference_bound(weight, n_cutoff, alphas)
-    a = weight.alphas(1) if alphas is None else np.asarray(alphas, dtype=float)
-    a0, a1 = float(a[0]), float(a[1])
-    slope = a1 - 2.0 * a0
-    root = -a0 / slope if slope != 0.0 else None
-    min_l = a0 if slope == 0.0 else min_affine_modulus_on_circle(a0, slope, ring)
-    root_inside = root is not None and abs(root) < ring
-    return RoucheCertificate(
-        epsilon=epsilon, ring_radius=ring, linear_root=root,
-        min_l=float(min_l), s_bound=sd.s_bound,
-        holds=bool(root_inside and min_l > sd.s_bound),
-        second_differences=sd)
+    return _rouche(epsilon, second_difference_bound(weight, n_cutoff, alphas))
 
 
 ROUCHE_EPS_GRID = tuple(np.geomspace(1e-3, 0.03, 12).tolist())   # searched by auto_rouche_epsilon
@@ -218,9 +223,11 @@ def auto_rouche_epsilon(weight, n_cutoff: int = 400):
     """Largest epsilon of ROUCHE_EPS_GRID for which the certificate holds.
 
     Returns (best_epsilon_or_None, list of (epsilon, certificate)); the
-    admissible range is reported rather than guessed.
+    admissible range is reported rather than guessed.  The second-difference
+    bound does not depend on epsilon, so every certificate shares one.
     """
-    table = [(e, rouche_certificate(weight, e, n_cutoff)) for e in ROUCHE_EPS_GRID]
+    sd = second_difference_bound(weight, n_cutoff)
+    table = [(e, _rouche(e, sd)) for e in ROUCHE_EPS_GRID]
     passing = [e for e, cert in table if cert.holds]
     return (max(passing) if passing else None), table
 
@@ -376,7 +383,7 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
         try:
             n = n_terms if n_terms is not None else terms_for_tolerance(
                 weight.alpha_bound, rho_try, 1e-4 * alpha0)
-        except Exception as exc:
+        except ToleranceError as exc:
             best_diag = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
         n = max(n, 8)

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bergkern.cli
+from bergkern import StepWeight, mollify_weight, weight_to_json
 from bergkern.cli import build_parser, main, parse_complex, parse_range
 
 PI = math.pi
@@ -277,6 +281,41 @@ def test_coeff_check_scaled_units(tmp_path):
     assert scaled["first_difference_limit"] == pytest.approx(2.0, abs=1e-12)
     assert true_units["first_difference_limit"] == pytest.approx(1.0 / PI, rel=1e-13)
     assert scaled["sup_diff"] == pytest.approx(2 * PI * true_units["sup_diff"], rel=1e-13)
+
+
+@pytest.mark.parametrize("step, n", [("0.05,0.99", "500"), ("30,0.95", "100"), ("30,0.9", "20")])
+def test_coeff_check_verdicts_are_proven(step, n, tmp_path):
+    status, out = run_json(["coeff-check", "--step", step, "-N", n], tmp_path)
+    assert status == 0
+    assert out["finite_trend"] is True and out["bounded_verdict"] is True
+    assert "proven" in out["note"]
+
+
+def _coeff_check(weight, n_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "w.json"), os.path.join(tmp, "out.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(weight_to_json(weight), fh)
+        assert main(["coeff-check", "--weight", spec, "-N", str(n_max), "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.floats(min_value=0.05, max_value=40.0), x=st.floats(min_value=0.05, max_value=0.99),
+       smooth=st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.45)),
+       n_max=st.integers(min_value=10, max_value=600))
+def test_coeff_check_verdicts_and_maxima_over_plateaus(a, x, smooth, n_max):
+    weight = StepWeight.from_plateau(a, x)
+    if smooth is not None:      # ramp half-width a fraction of the room on either side of x
+        weight = mollify_weight(weight, smooth * min(x, 1.0 - x))
+    out = _coeff_check(weight, n_max)
+    assert out["finite_trend"] is True and out["bounded_verdict"] is True
+    alphas = weight.alphas(n_max)
+    ratios = alphas[1:] / np.arange(1, n_max + 1)
+    assert out["limsup_estimate"] == float(np.max(ratios[len(ratios) // 2:]))
+    assert out["sup_diff"] == float(np.max(np.abs(np.diff(alphas))))
+    assert out["sup_b"] == float(np.max(np.abs(np.diff(alphas, prepend=0.0))))
 
 
 def test_lp_probe_csv_with_function_file(tmp_path):

@@ -4,99 +4,88 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergkern import (CoefficientSequence, ConstantWeight, decompose_b, log_beta,
-                      necessary_check, schur_bound_check, schur_integral,
-                      schur_integral_quadrature, sufficient_check)
+from bergkern import (ConstantWeight, DiracAugmentedWeight, coefficient_conditions, log_beta,
+                      schur_bound_check, schur_integral, schur_integral_quadrature)
 from bergkern import regularity
 from bergkern.regularity import schur_theoretical_constant
 
 PI = math.pi
 
 
-def arithmetic_sequence(n_max):
-    return CoefficientSequence(betas=(np.arange(n_max + 1) + 1.0) / PI, source="user")
-
-
 # --------------------------------------------------------------------------
-# necessary condition witness
+# necessary condition: limsup alpha_n/n
 # --------------------------------------------------------------------------
 
 def test_necessary_arithmetic_coefficients():
-    chk = necessary_check(arithmetic_sequence(100))
+    # the constant weight 1 has the arithmetic coefficients alpha_n = (n+1)/pi
+    chk = coefficient_conditions(ConstantWeight(1.0), 100)
     # max over the last half of (n+1)/(n*pi), attained at the window start
     window_start = 1 + 100 // 2
     expected = (window_start + 1) / (window_start * PI)
     assert chk.limsup_estimate == pytest.approx(expected, rel=1e-12)
     assert abs(chk.limsup_estimate - 1.0 / PI) < 0.01
-    assert chk.finite_trend
-
-
-def test_necessary_quadratic_growth_flagged():
-    seq = CoefficientSequence(betas=np.arange(101.0) ** 2, source="user")
-    chk = necessary_check(seq)
-    assert not chk.finite_trend
+    assert chk.proven
 
 
 def test_necessary_plateau_coefficients_tend_to_inv_pi(step18):
-    chk = necessary_check(CoefficientSequence.from_weight(step18, 200))
+    chk = coefficient_conditions(step18, 200)
     assert 1.0 / PI <= chk.limsup_estimate <= 1.02 / PI
-    assert chk.finite_trend
+    assert chk.proven
 
 
-def test_necessary_needs_enough_terms():
-    with pytest.raises(ValueError):
-        necessary_check(CoefficientSequence(betas=np.ones(5), source="user"))
+def test_necessary_needs_enough_terms(step18):
+    for n_max in (-3, 0, 1, 9):
+        with pytest.raises(ValueError, match="n_max >= 10"):
+            coefficient_conditions(step18, n_max)
+
+
+def test_conditions_come_from_one_coefficient_fetch(step18, monkeypatch):
+    calls = []
+    original = type(step18).alphas
+
+    def counting(self, n_max):
+        calls.append(n_max)
+        return original(self, n_max)
+
+    monkeypatch.setattr(type(step18), "alphas", counting)
+    chk = coefficient_conditions(step18, 300)
+    assert calls == [300]
+    a = original(step18, 300)
+    assert chk.last_first_difference == a[-1] - a[-2]
+
+
+def test_point_mass_conditions_are_proven_without_a_window():
+    chk = coefficient_conditions(DiracAugmentedWeight(10.0), 50)
+    assert chk.proven
+    assert chk.window_low is None and chk.window_high is None and chk.within_window is None
+    # alpha_n = (n+1)/pi for n >= 1, so every difference past the first is 1/pi
+    assert chk.last_first_difference == pytest.approx(1.0 / PI, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
-# difference decomposition
+# first differences b_n = alpha_n - alpha_{n-1}
 # --------------------------------------------------------------------------
-
-def test_decompose_arithmetic():
-    dec = decompose_b(arithmetic_sequence(50))
-    assert dec.b[0] == pytest.approx(1.0 / PI, rel=1e-15)
-    assert dec.b[1:] == pytest.approx(np.full(50, 1.0 / PI), rel=1e-12)
-
-
-def test_decompose_constant_ones():
-    dec = decompose_b(CoefficientSequence(betas=np.ones(20), source="user"))
-    assert dec.b[0] == 1.0
-    assert np.all(dec.b[1:] == 0.0)
-    assert dec.sup_abs == 1.0
-
 
 def test_decompose_plateau_differences_tend_to_inv_pi(step18):
-    dec = decompose_b(CoefficientSequence.from_weight(step18, 200))
-    assert np.isfinite(dec.sup_abs)
-    assert dec.b[-1].real == pytest.approx(1.0 / PI, abs=1e-10)
+    chk = coefficient_conditions(step18, 200)
+    assert np.isfinite(chk.sup_b) and chk.sup_b >= chk.sup_diff
+    assert chk.last_first_difference == pytest.approx(1.0 / PI, abs=1e-10)
 
-
-# --------------------------------------------------------------------------
-# sufficient condition witness
-# --------------------------------------------------------------------------
 
 def test_sufficient_constant_weight_differences_are_constant():
-    chk = sufficient_check(CoefficientSequence.from_weight(ConstantWeight(1.0), 100))
+    chk = coefficient_conditions(ConstantWeight(1.0), 100)
     assert chk.sup_diff == pytest.approx(1.0 / PI, rel=1e-13)
-    assert chk.bounded_verdict
+    assert chk.proven
     assert chk.within_window          # C = 1: window is exactly [1/pi, 1/pi] up to slack
 
 
 def test_sufficient_plateau_bounded_and_in_window(step18):
-    chk = sufficient_check(CoefficientSequence.from_weight(step18, 500))
-    assert chk.bounded_verdict
+    chk = coefficient_conditions(step18, 500)
+    assert chk.proven
     assert chk.within_window
     c3 = 18.0 ** 3
     assert chk.window_low == pytest.approx(1.0 / (c3 * PI), rel=1e-14)
     assert chk.window_high == pytest.approx(c3 / PI, rel=1e-14)
-
-
-def test_sufficient_alternating_growth_unbounded():
-    betas = np.arange(101.0) * (-1.0) ** np.arange(101)
-    chk = sufficient_check(CoefficientSequence(betas=betas, source="user"))
-    assert not chk.bounded_verdict
-    assert chk.sup_diff == pytest.approx(199.0)
-    assert chk.within_window is None      # not weight-derived
 
 
 # --------------------------------------------------------------------------
@@ -110,14 +99,14 @@ def test_log_beta_basics():
 
 
 def test_schur_integral_single_term():
-    seq = CoefficientSequence(betas=np.ones(3), source="user")
+    seq = np.ones(3)
     got = schur_integral(seq, -0.5, 0.0)
     assert got.value == pytest.approx(2.0 * PI, rel=1e-13)   # pi * B(1, 1/2) = 2 pi
     assert got.tail == 0.0
 
 
 def test_schur_integral_dominated_at_large_radius():
-    seq = CoefficientSequence(betas=np.ones(2001), source="user")
+    seq = np.ones(2001)
     got = schur_integral(seq, -0.5, 0.9)
     bound = schur_theoretical_constant(-0.5) * (1 - 0.81) ** (-0.5)
     assert got.upper <= bound
@@ -125,7 +114,7 @@ def test_schur_integral_dominated_at_large_radius():
 
 
 def test_schur_integral_rejects_bad_epsilon():
-    seq = CoefficientSequence(betas=np.ones(5), source="user")
+    seq = np.ones(5)
     for eps in (-1.0, 0.0, 0.3, -1.5):
         with pytest.raises(ValueError):
             schur_integral(seq, eps, 0.5)
@@ -134,7 +123,7 @@ def test_schur_integral_rejects_bad_epsilon():
 
 
 def test_schur_series_matches_quadrature_for_weight_coefficients():
-    seq = CoefficientSequence.from_weight(ConstantWeight(1.0), 64)
+    seq = ConstantWeight(1.0).alphas(64)
     series_val = schur_integral(seq, -0.25, 0.5).value
     quad_val = schur_integral_quadrature(seq, -0.25, 0.5)
     assert abs(series_val - quad_val) / quad_val <= 1e-6
@@ -147,14 +136,14 @@ def test_schur_series_matches_quadrature_for_weight_coefficients():
     r=st.floats(min_value=0.0, max_value=0.9),
 )
 def test_schur_reduction_matches_quadrature_random(data, eps, r):
-    seq = CoefficientSequence(betas=np.array(data), source="user")
+    seq = np.array(data)
     series_val = schur_integral(seq, eps, r).value
     quad_val = schur_integral_quadrature(seq, eps, r)
     assert abs(series_val - quad_val) <= 1e-6 * max(abs(quad_val), 1.0)
 
 
 def test_schur_integral_monotone_in_radius():
-    seq = CoefficientSequence(betas=np.linspace(1.0, 0.2, 30), source="user")
+    seq = np.linspace(1.0, 0.2, 30)
     vals = [schur_integral(seq, -0.4, r).value for r in (0.0, 0.3, 0.6, 0.9)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -164,7 +153,7 @@ def test_schur_integral_monotone_in_radius():
 # --------------------------------------------------------------------------
 
 def test_schur_bound_check_ratios_match_schur_integral(step18):
-    seq = CoefficientSequence.from_weight(step18, 400)
+    seq = step18.alphas(400)
     grid = np.linspace(0.0, 0.99, 34)
     rep = schur_bound_check(seq, -0.3, grid)
     for r, ratio in zip(grid, rep.ratios):
@@ -176,7 +165,7 @@ def test_schur_bound_check_ratios_match_schur_integral(step18):
 
 
 def test_schur_bound_check_uniform_sequence():
-    seq = CoefficientSequence(betas=np.ones(800), source="user")
+    seq = np.ones(800)
     report = schur_bound_check(seq, -0.5, (0.0, 0.5, 0.9, 0.99))
     assert report.passes
     assert report.theoretical_c == pytest.approx(4.0 * PI, rel=1e-14)
@@ -186,14 +175,12 @@ def test_schur_bound_check_uniform_sequence():
 
 def test_schur_bound_check_conjugate_pair_epsilon():
     # eps = -1/(p*q) for p=3 (q=3/2) is -2/9
-    seq = CoefficientSequence(betas=np.ones(800), source="user")
+    seq = np.ones(800)
     report = schur_bound_check(seq, -2.0 / 9.0, np.arange(0.0, 0.991, 0.01))
     assert report.passes
 
 
 def test_schur_bound_check_difference_sequence_of_weight(step18):
-    alphas = CoefficientSequence.from_weight(step18, 400)
-    b = decompose_b(alphas).b
-    seq = CoefficientSequence(betas=b, source="diff")
+    seq = np.diff(step18.alphas(400), prepend=0.0)
     report = schur_bound_check(seq, -0.25, np.arange(0.0, 0.91, 0.05))
     assert report.passes

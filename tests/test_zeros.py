@@ -210,9 +210,45 @@ def test_auto_eps_search(step18):
     assert best < 0.05
 
 
+def test_auto_eps_search_shares_one_bound(step18, monkeypatch):
+    bounds, fetches = [], []
+    original_bound, original_alphas = zeros.second_difference_bound, StepWeight.alphas
+
+    def counting_bound(*args, **kwargs):
+        bounds.append(args)
+        return original_bound(*args, **kwargs)
+
+    def counting_alphas(self, n_max):
+        fetches.append(n_max)
+        return original_alphas(self, n_max)
+
+    monkeypatch.setattr(zeros, "second_difference_bound", counting_bound)
+    monkeypatch.setattr(StepWeight, "alphas", counting_alphas)
+    best, table = auto_rouche_epsilon(step18, n_cutoff=300)
+    assert len(bounds) == 1 and fetches == [300]
+    # each certificate of the search is the one rouche_certificate gives alone
+    bounds.clear()
+    fetches.clear()
+    for eps, cert in table:
+        assert rouche_certificate(step18, eps, n_cutoff=300) == cert
+    assert len(bounds) == len(table) and fetches == [300] * len(table)
+
+
 # --------------------------------------------------------------------------
 # winding counter
 # --------------------------------------------------------------------------
+
+class _BrokenBound(StepWeight):
+    @property
+    def alpha_bound(self):
+        raise TypeError("alpha_bound is broken")
+
+
+def test_truncation_selection_propagates_programming_errors():
+    # only a ToleranceError means that no truncation reaches the target
+    with pytest.raises(TypeError, match="alpha_bound is broken"):
+        count_zeros_winding(_BrokenBound.from_plateau(18.0, 0.25), 0.9)
+
 
 def test_winding_counts_across_radii(step18):
     # the one zero sits near -0.477: outside |t|<0.3, inside |t|<0.7
