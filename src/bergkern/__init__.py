@@ -12,8 +12,9 @@ from .kernel import KernelValue, ToleranceError, diagonal_poly, kernel_eval, tai
 from .regularity import (CoefficientConditions, SchurIntegral, SchurReport,
                          coefficient_conditions, log_beta, schur_bound_check, schur_integral,
                          schur_integral_quadrature)
-from .projector import (DiscreteProjector, ProbeResult, SplitWitness, build_projector,
-                        cs_split_witness, default_family, lp_norm, lp_probe, project)
+from .projector import (DiscreteProjector, ProbeResult, SplitWitness, TestFunction,
+                        build_projector, cs_split_witness, default_family, lp_norm, lp_probe,
+                        project)
 from .weights import (ConstantWeight, DiracAugmentedWeight, MomentEntry, MomentTable,
                       QuadratureError, RadialWeight, SampledWeight, StepWeight, WeightError,
                       alphas_closed_form, load_weight, moment_quadrature, moment_table,
@@ -38,6 +39,6 @@ __all__ = [
     "dirac_zero_threshold", "dirac_kernel_value", "inflation_check", "reinhardt_monomial_norm",
     "CoefficientConditions", "SchurIntegral", "SchurReport", "coefficient_conditions", "log_beta",
     "schur_integral", "schur_integral_quadrature", "schur_bound_check",
-    "DiscreteProjector", "ProbeResult", "SplitWitness",
+    "DiscreteProjector", "ProbeResult", "SplitWitness", "TestFunction",
     "build_projector", "project", "lp_norm", "lp_probe", "cs_split_witness", "default_family",
 ]

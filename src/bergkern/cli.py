@@ -252,7 +252,7 @@ def _cmd_coeff_check(args, parser) -> int:
     factor = 2.0 * math.pi if args.scaled_units else 1.0
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
     cc = coefficient_conditions(weight, args.n_terms)
-    sd = second_difference_bound(weight, min(args.n_terms, 500))
+    sd = second_difference_bound(weight, args.n_terms)
     payload = {
         "weight": weight.label(), "n_max": args.n_terms, "units": units,
         "limsup_estimate": cc.limsup_estimate * factor,

@@ -19,6 +19,16 @@ witness ||Tf||_p^(2p) <= ||S1|f|||_p^p * ||S2|f|||_p^p for the factored
 kernel (geometric part times difference part).  Both factors depend on
 z*conj(w) = r r' e^(i(theta-phi)) and theta-phi stays on the uniform grid,
 so T, S1 and S2 are angular convolutions: FFTs along theta, a sum over r'.
+
+The probe's test functions are `TestFunction`s: a radial profile rho(r)
+times a finite sum of angular modes a_k e^(ik theta).  P maps
+rho(r) e^(ik theta) to a multiple of z^k, which is 0 unless 0 <= k <= N,
+and the M-point grid sees mode k at frequency k mod M.  So the probe gets
+each c_n from one radial contraction of rho, ||f||_p^p as a radial sum
+times an angular sum, and ||Pf||_p^p as a radial sum whenever at most one
+c_n is nonzero (|Pf| is then radial).  Only functions with two or more
+surviving modes -- the seeded random trig x radial products -- are
+synthesized on the grid, by the inverse FFT that `project` uses.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .weights import DiracAugmentedWeight
+from .weights import MAX_TERMS, DiracAugmentedWeight
 
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
@@ -62,6 +73,11 @@ class DiscreteProjector:
     def radial_powers(self) -> np.ndarray:
         """r^n for n = 0..n_max, shape (R, n_max+1)."""
         return self.radii[:, None] ** np.arange(self.n_max + 1)
+
+    @cached_property
+    def weighted_powers(self) -> np.ndarray:
+        """lam w_r r dtheta r^n, shape (R, n_max+1): the radial half of <f, w^n>_lam."""
+        return self.weighted_area[:, :1] * self.radial_powers
 
 
 def build_projector(weight, n_max: int, radial_per_segment: int = 200,
@@ -105,11 +121,24 @@ def inner_product(proj: DiscreteProjector, f: np.ndarray, g: np.ndarray) -> comp
     return complex(np.sum(proj.weighted_area * f * np.conj(g)))
 
 
+def _contract(proj: DiscreteProjector, spectrum: np.ndarray) -> np.ndarray:
+    """sum_i lam_i w_i r_i dtheta r_i^n spectrum[i, n] for n = 0..n_max.
+
+    spectrum is (R, n_max+1), or (R, 1) for a radial profile shared by every n.
+    """
+    return np.sum(proj.weighted_powers * spectrum, axis=0)
+
+
+def _synthesize(proj: DiscreteProjector, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n c_n z^n on the grid: one inverse FFT of c_n r^n at frequencies 0..N."""
+    spectrum = np.zeros((len(proj.radii), len(proj.thetas)), dtype=complex)
+    spectrum[:, :proj.n_max + 1] = coeffs * proj.radial_powers
+    return np.fft.ifft(spectrum, axis=1) * len(proj.thetas)
+
+
 def monomial_inner(proj: DiscreteProjector, f: np.ndarray) -> np.ndarray:
     """<f, w^n>_lam for n = 0..n_max: an FFT along theta, then the radial sum."""
-    spectrum = np.fft.fft(f, axis=1)[:, :proj.n_max + 1]
-    radial = proj.weighted_area[:, :1] * proj.radial_powers
-    return np.sum(radial * spectrum, axis=0)
+    return _contract(proj, np.fft.fft(f, axis=1)[:, :proj.n_max + 1])
 
 
 @dataclass(frozen=True)
@@ -125,16 +154,18 @@ def project(proj: DiscreteProjector, f: np.ndarray) -> ProjectedFunction:
         raise ValueError(f"samples must live on the projector grid {proj.grid.shape}, "
                          f"got {f.shape}")
     coeffs = proj.alphas * monomial_inner(proj, f)
-    spectrum = np.zeros_like(f)
-    spectrum[:, :proj.n_max + 1] = coeffs * proj.radial_powers
-    values = np.fft.ifft(spectrum, axis=1) * len(proj.thetas)
-    return ProjectedFunction(coeffs=coeffs, values=values)
+    return ProjectedFunction(coeffs=coeffs, values=_synthesize(proj, coeffs))
+
+
+def _check_exponent(p: float) -> float:
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    return p
 
 
 def lp_norm(proj: DiscreteProjector, f: np.ndarray, p: float) -> float:
     """(int |f|^p lam dA)^(1/p) on the grid."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    _check_exponent(p)
     return float(np.sum(proj.weighted_area * np.abs(f) ** p) ** (1.0 / p))
 
 
@@ -142,45 +173,83 @@ def lp_norm(proj: DiscreteProjector, f: np.ndarray, p: float) -> float:
 # test-function families
 # ---------------------------------------------------------------------------
 
-def function_from_spec(spec: dict):
-    """Callable (complex points -> values) from a JSON-style description.
+@dataclass(frozen=True)
+class TestFunction:
+    """f(r e^(i theta)) = radial(r) * sum_k a_k e^(i k theta).
 
-    Supported: {"type":"monomial","m":3,"conjugate":false},
-    {"type":"radial_power","s":0.5}  for (1-|z|^2)^s,
-    {"type":"bump","center":0.3,"width":0.1} for exp(-((|z|-c)/w)^2).
+    radial maps an array of radii to values; modes holds (k, a_k) pairs
+    with integer k.  Called on complex points, f(z) evaluates the same
+    product at r = |z| and e^(i theta) = z/|z| (1 at z = 0).
+    """
+    __test__ = False     # a library class, not a pytest test class
+
+    radial: Callable
+    modes: tuple
+
+    def angular(self, u) -> np.ndarray:
+        """sum_k a_k u^k at points u = e^(i theta) of the unit circle."""
+        u = np.asarray(u, dtype=complex)
+        return sum((a * u ** k for k, a in self.modes), np.zeros(u.shape, dtype=complex))
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        return self.radial(r) * self.angular(np.divide(z, r, out=np.ones_like(z), where=r > 0))
+
+
+def function_from_spec(spec: dict):
+    """(TestFunction, name) from a JSON-style description.
+
+    Supported: {"type":"monomial","m":3,"conjugate":false} for z^m or
+    conj(z)^m, with m an integer in [0, MAX_TERMS] (default 0) and
+    conjugate a boolean (default false);
+    {"type":"radial_power","s":0.5}  for (1-|z|^2)^s;
+    {"type":"bump","center":0.3,"width":0.1} for exp(-((|z|-c)/w)^2), w > 0.
+    s, center and width are finite numbers.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"test-function spec must be an object, got {spec!r}")
 
-    def number(key, default=None):
+    def number(key):
+        value = spec.get(key)
         try:
-            value = float(spec.get(key, default))
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:           # an integer beyond the float range
+            ok = False
+        if not ok:
             raise ValueError(f"test-function spec {spec!r} needs a finite number {key!r}")
-        return value
+        return float(value)
 
     kind = spec.get("type")
     if kind == "monomial":
-        m = int(number("m", 0))
-        conj = bool(spec.get("conjugate", False))
-        if conj:
-            return (lambda z: np.conj(z) ** m), f"conj(z)^{m}"
-        return (lambda z: np.asarray(z, dtype=complex) ** m), f"z^{m}"
+        m = spec.get("m", 0)
+        if isinstance(m, float) and m.is_integer():
+            m = int(m)
+        if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m <= MAX_TERMS:
+            raise ValueError(f"test-function spec {spec!r} needs an integer 'm' "
+                             f"in [0, MAX_TERMS = {MAX_TERMS}]")
+        conj = spec.get("conjugate", False)
+        if not isinstance(conj, bool):
+            raise ValueError(f"test-function spec {spec!r} needs a boolean 'conjugate'")
+        fn = TestFunction(lambda r: r ** m, ((-m if conj else m, 1.0),))
+        return fn, (f"conj(z)^{m}" if conj else f"z^{m}")
     if kind == "radial_power":
         s = number("s")
-        return (lambda z: (1.0 - np.abs(z) ** 2) ** s), f"(1-|z|^2)^{s:g}"
+        return TestFunction(lambda r: (1.0 - r ** 2) ** s, ((0, 1.0),)), f"(1-|z|^2)^{s:g}"
     if kind == "bump":
         c, w = number("center"), number("width")
-        return (lambda z: np.exp(-(((np.abs(z) - c) / w) ** 2))), f"bump({c:g},{w:g})"
+        if not w > 0.0:
+            raise ValueError(f"test-function spec {spec!r} needs a positive 'width'")
+        return (TestFunction(lambda r: np.exp(-(((r - c) / w) ** 2)), ((0, 1.0),)),
+                f"bump({c:g},{w:g})")
     raise ValueError(f"unknown test-function spec {spec!r}")
 
 
 def default_family(n_max: int, seed: int = 0):
-    """(name, callable) pairs: monomials and conjugates up to n_max, radial
+    """(name, TestFunction) pairs: monomials and conjugates up to n_max, radial
     powers, radial bumps, and seeded random trig-poly x radial-profile
-    products."""
+    products sum_{|k|<=6} c_k e^(ik theta) * sum_{j<4} d_j r^j."""
     specs = []
     for m in (0, 1, 2, 3, 5, 8, 13, 21, 34):
         if m > n_max:
@@ -196,14 +265,9 @@ def default_family(n_max: int, seed: int = 0):
         k_max = 6
         c = rng.standard_normal(2 * k_max + 1) + 1j * rng.standard_normal(2 * k_max + 1)
         d = rng.standard_normal(4)
-
-        def fn(z, c=c, d=d, k_max=k_max):
-            r, u = np.abs(z), np.exp(1j * np.angle(z))
-            trig = np.polyval(c[::-1], u) * u ** -k_max      # sum_k c_k e^(i(k-k_max)theta)
-            radial = sum(dj * r ** j for j, dj in enumerate(d))
-            return trig * radial
-
-        family.append((f"random_{i}", fn))
+        radial = lambda r, d=d: sum(dj * r ** j for j, dj in enumerate(d))
+        modes = tuple((k - k_max, complex(ck)) for k, ck in enumerate(c))
+        family.append((f"random_{i}", TestFunction(radial, modes)))
     return family
 
 
@@ -216,25 +280,61 @@ class ProbeResult:
     rows: tuple              # (function name, ratio) pairs; skipped functions carry None
 
 
+def _check_family(family) -> list:
+    for entry in family:
+        try:
+            _, fn = entry
+        except (TypeError, ValueError):
+            fn = None
+        if not isinstance(fn, TestFunction):
+            raise ValueError(f"family entry {entry!r} is not a (name, TestFunction) pair")
+    return list(family)
+
+
+def _probe_norms(proj: DiscreteProjector, fn: TestFunction, p_values) -> tuple:
+    """(||f||_p, ||Pf||_p) as arrays over p_values, from fn's radial profile and modes."""
+    m = len(proj.thetas)
+    ps = np.asarray(p_values, dtype=float)
+    area = proj.weighted_area[:, 0]                     # lam_i w_i r_i dtheta
+
+    def radial_sums(modulus):                           # sum_i area_i modulus_i^p, per p
+        return np.sum(area * modulus ** ps[:, None], axis=1)
+
+    rho = np.broadcast_to(np.asarray(fn.radial(proj.radii)), proj.radii.shape)
+    folded = np.zeros(proj.n_max + 1, dtype=complex)    # a_k at grid frequency k mod M
+    for k, a in fn.modes:
+        if k % m <= proj.n_max:
+            folded[k % m] += a
+    coeffs = proj.alphas * m * folded * _contract(proj, rho[:, None])
+    tau = fn.angular(np.exp(1j * proj.thetas))
+    f_norms = (radial_sums(np.abs(rho)) * np.sum(np.abs(tau) ** ps[:, None], axis=1)) ** (1.0 / ps)
+    surviving = np.flatnonzero(coeffs)
+    if len(surviving) > 1:
+        abs_pf = np.abs(_synthesize(proj, coeffs))
+        return f_norms, np.array([lp_norm(proj, abs_pf, p) for p in p_values])
+    if len(surviving) == 1:             # |Pf| = |c_n| r^n, the same on every angle
+        n = surviving[0]
+        return f_norms, (m * radial_sums(abs(coeffs[n]) * proj.radial_powers[:, n])) ** (1.0 / ps)
+    return f_norms, np.zeros(len(ps))
+
+
 def lp_probe(weight, p_values, n_max: int = 40, radial_per_segment: int = 200,
              angular: int | None = None, family=None, seed: int = 0):
     """Lower-bound probe of ||P||_{L^p(lam)}: max over the family of
     ||Pf||_p / ||f||_p.  A witness of boundedness only -- no claim of
-    computing the true operator norm."""
+    computing the true operator norm.  family is a list of
+    (name, TestFunction) pairs, default_family(n_max, seed) by default."""
+    p_values = [_check_exponent(p) for p in p_values]
+    fam = _check_family(family if family is not None else default_family(n_max, seed))
     proj = build_projector(weight, n_max, radial_per_segment, angular)
-    fam = family if family is not None else default_family(n_max, seed)
-    grid = proj.grid
-    moduli = []
-    for name, fn in fam:
-        samples = np.broadcast_to(np.asarray(fn(grid), dtype=complex), grid.shape)
-        moduli.append((name, np.abs(samples), np.abs(project(proj, samples).values)))
+    norms = [(name, *_probe_norms(proj, fn, p_values)) for name, fn in fam]
     results = []
     label = weight.label()
-    for p in p_values:
+    for i, p in enumerate(p_values):
         rows = []
-        for name, abs_f, abs_pf in moduli:
-            denom = lp_norm(proj, abs_f, p)
-            rows.append((name, lp_norm(proj, abs_pf, p) / denom if denom != 0.0 else None))
+        for name, f_norms, pf_norms in norms:
+            f_norm = float(f_norms[i])
+            rows.append((name, float(pf_norms[i]) / f_norm if f_norm != 0.0 else None))
         best = max([0.0] + [ratio for _, ratio in rows if ratio is not None])
         results.append(ProbeResult(weight_label=label, p=float(p), n_max=n_max,
                                    max_ratio=best, rows=tuple(rows)))
@@ -262,8 +362,7 @@ def cs_split_witness(weight, f, p: float, n_trunc: int = 12,
     inequality is two Cauchy-Schwarz steps, valid on any positive grid.
     All integrals here are unweighted (plain dA) and truncated at n_trunc.
     """
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    _check_exponent(p)
     nodes, wts = _leggauss(radial)
     r = 0.5 * (nodes + 1.0)
     thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)

@@ -117,6 +117,18 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
      [{"type": "radial_power"}]),
     (["lp-probe", "--weight", "constant1", "-N", "4", "--functions", "{file}"],
      {"type": "monomial", "m": 2}),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "monomial", "m": 2.7}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "monomial", "m": -3}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "monomial", "m": 1e300}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "monomial", "m": 2, "conjugate": "no"}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "bump", "center": 0.3, "width": 0}]),
+    (["lp-probe", "--weight", "constant1", "-N", "4", "--p", "2", "--functions", "{file}"],
+     [{"type": "radial_power", "s": "0.5"}]),
     (["sweep", "--A", "5:1:1", "--x", "0.3:0.3:0.1"], None),
     (["schur", "--step", "18,0.25", "--eps", "-0.5", "--grid", "0.5:0.1:0.1"], None),
     (["sweep", "--A", "1:100000000000:1", "--x", "0.5:0.5:1"], None),
@@ -146,6 +158,8 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["repro-all", "--only", "dirac", "--perturb", "nan"], None),
     (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
+        "functions-fractional-m", "functions-negative-m", "functions-huge-m",
+        "functions-string-conjugate", "functions-zero-width", "functions-string-s",
         "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
         "sweep-huge-grid", "sweep-infinite-range", "moments-nan-radius", "rouche-nan-radius",
         "find-zeros-nan-radius", "moments-nan-breakpoint", "rouche-nan-breakpoint",
@@ -291,6 +305,14 @@ def test_coeff_check_verdicts_are_proven(step, n, tmp_path):
     assert "proven" in out["note"]
 
 
+def test_coeff_check_telescopes_to_n_max(tmp_path):
+    # the telescoped sum of second differences ends at N, also above 500
+    status, out = run_json(["coeff-check", "--step", "18,0.25", "-N", "600"], tmp_path)
+    assert status == 0
+    alphas = StepWeight.from_plateau(18.0, 0.25).alphas(600)
+    assert out["telescoped_value"] == (alphas[1] - alphas[0]) - (alphas[600] - alphas[599])
+
+
 def _coeff_check(weight, n_max):
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = os.path.join(tmp, "w.json"), os.path.join(tmp, "out.json")
@@ -388,6 +410,7 @@ def test_repeated_main_calls_are_independent(tmp_path, capsys):
         ["schur", "--step", "18,0.25", "--eps", "-0.25", "-N", "100"],
         ["coeff-check", "--step", "18,0.25", "-N", "100"],
         ["rouche", "--step", "18,0.25", "--eps", "0.01", "--n-cutoff", "200"],
+        ["lp-probe", "--step", "18,0.25", "-N", "12", "--radial", "40", "--seed", "3"],
     ]
 
     def run_commands(tag):
@@ -402,7 +425,7 @@ def test_repeated_main_calls_are_independent(tmp_path, capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
     assert run_commands("b") == first
-    assert [status for status, _ in first] == [0, 0, 0, 0, 0]
+    assert [status for status, _ in first] == [0, 0, 0, 0, 0, 0]
     assert build_parser() is build_parser()
 
 

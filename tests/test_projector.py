@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergkern import (ConstantWeight, StepWeight, build_projector,
+import bergkern.projector
+from bergkern import (ConstantWeight, StepWeight, TestFunction, build_projector,
                       cs_split_witness, default_family, lp_norm, lp_probe, project)
 from bergkern.projector import _leggauss, function_from_spec, inner_product, monomial_inner
-from bergkern.weights import DiracAugmentedWeight
+from bergkern.weights import MAX_TERMS, DiracAugmentedWeight
 
 PI = math.pi
 
@@ -64,6 +65,26 @@ def reference_split_witness(weight, f, p, n_trunc=12, radial=32, angular=48):
     lhs = float(np.sum(area * np.abs(tf) ** p) ** 2)
     rhs = float(np.sum(area * s1 ** p) * np.sum(area * s2 ** p))
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))
+
+
+def reference_lp_probe(weight, p_values, n_max, radial_per_segment, angular, family):
+    """The probe from grid samples: sample each function, project it, take both lp_norms.
+
+    Returns one list of (name, ratio) rows per exponent.
+    """
+    proj = build_projector(weight, n_max, radial_per_segment, angular)
+    moduli = []
+    for name, fn in family:
+        samples = np.broadcast_to(np.asarray(fn(proj.grid), dtype=complex), proj.grid.shape)
+        moduli.append((name, np.abs(samples), np.abs(project(proj, samples).values)))
+    results = []
+    for p in p_values:
+        rows = []
+        for name, abs_f, abs_pf in moduli:
+            denom = lp_norm(proj, abs_f, p)
+            rows.append((name, lp_norm(proj, abs_pf, p) / denom if denom != 0.0 else None))
+        results.append(rows)
+    return results
 
 
 def max_rel(got, want):
@@ -211,14 +232,14 @@ def test_lp_norm_rejects_bad_exponent(proj_const):
 # --------------------------------------------------------------------------
 
 def test_probe_monomial_is_fixed_point(const1):
-    res = lp_probe(const1, [2.0], n_max=10, radial_per_segment=60,
-                   family=[("z^2", lambda z: z ** 2)])
+    fn, name = function_from_spec({"type": "monomial", "m": 2})
+    res = lp_probe(const1, [2.0], n_max=10, radial_per_segment=60, family=[(name, fn)])
     assert res[0].max_ratio == pytest.approx(1.0, abs=1e-10)
 
 
 def test_probe_antiholomorphic_ratio_zero(const1):
-    res = lp_probe(const1, [2.0], n_max=10, radial_per_segment=60,
-                   family=[("conj(z)^3", lambda z: np.conj(z) ** 3)])
+    fn, name = function_from_spec({"type": "monomial", "m": 3, "conjugate": True})
+    res = lp_probe(const1, [2.0], n_max=10, radial_per_segment=60, family=[(name, fn)])
     assert res[0].max_ratio <= 1e-12
 
 
@@ -231,11 +252,77 @@ def test_probe_default_family_reports_rows(step18):
 
 
 def test_probe_skips_degenerate_function(const1):
+    one, _ = function_from_spec({"type": "monomial", "m": 0})
     res = lp_probe(const1, [2.0], n_max=8, radial_per_segment=50,
-                   family=[("zero", lambda z: 0.0 * z), ("one", lambda z: 0 * z + 1.0)])
+                   family=[("zero", TestFunction(lambda r: 0.0 * r, ((0, 1.0),))), ("one", one)])
     rows = dict(res[0].rows)
     assert rows["zero"] is None
     assert rows["one"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p_values, family, message", [
+    ([2.0, 0.5], None, "p must lie"),
+    ([2.0, math.inf], None, "p must lie"),
+    ([math.nan], None, "p must lie"),
+    ([1.0], None, "p must lie"),
+    ([2.0], [("z^2", lambda z: z ** 2)], "z\\^2"),
+    ([2.0], [("z^2",)], "z\\^2"),
+    ([2.0], ["z^2"], "z\\^2"),
+])
+def test_probe_checks_inputs_before_building_projector(const1, monkeypatch, p_values, family,
+                                                        message):
+    def build_must_not_run(*args, **kwargs):
+        raise AssertionError("build_projector ran before the inputs were checked")
+
+    monkeypatch.setattr(bergkern.projector, "build_projector", build_must_not_run)
+    with pytest.raises(ValueError, match=message):
+        lp_probe(const1, p_values, n_max=4, family=family)
+
+
+_PROBE_SPECS = st.one_of(
+    st.builds(lambda m, conj: {"type": "monomial", "m": m, "conjugate": conj},
+              st.integers(min_value=0, max_value=400), st.booleans()),
+    st.builds(lambda s: {"type": "radial_power", "s": s}, st.floats(min_value=0.1, max_value=3.0)),
+    st.builds(lambda c, w: {"type": "bump", "center": c, "width": w},
+              st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.05, max_value=0.5)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight=st.one_of(
+           st.builds(StepWeight.from_plateau, st.floats(min_value=0.2, max_value=30.0),
+                     st.floats(min_value=0.1, max_value=0.9)),
+           st.builds(ConstantWeight, st.floats(min_value=0.5, max_value=5.0))),
+       n_max=st.integers(min_value=0, max_value=40),
+       extra_angles=st.sampled_from([None, 0, 1, 7]),
+       radial=st.integers(min_value=8, max_value=40),
+       p_values=st.lists(st.floats(min_value=1.05, max_value=8.0), min_size=1, max_size=4),
+       specs=st.lists(_PROBE_SPECS, min_size=0, max_size=6),
+       data=st.data())
+def test_probe_matches_dense_reference(weight, n_max, extra_angles, radial, p_values, specs,
+                                       data):
+    angular = None if extra_angles is None else 4 * n_max + 4 + extra_angles
+    # one random trig x radial product; its modes stay apart on every admissible grid
+    ks = data.draw(st.lists(st.integers(min_value=-2 * n_max - 1, max_value=2 * n_max + 1),
+                            min_size=1, max_size=8, unique=True))
+    coeffs = data.draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+                                min_size=len(ks), max_size=len(ks)))
+    d = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4))
+    random_fn = TestFunction(lambda r: sum(dj * r ** j for j, dj in enumerate(d)),
+                             tuple(zip(ks, coeffs)))
+    family = [(name, fn) for fn, name in map(function_from_spec, specs)]
+    family.append(("random", random_fn))
+    got = lp_probe(weight, p_values, n_max=n_max, radial_per_segment=radial, angular=angular,
+                   family=family)
+    want = reference_lp_probe(weight, p_values, n_max, radial, angular, family)
+    for res, rows in zip(got, want):
+        assert [name for name, _ in res.rows] == [name for name, _ in rows]
+        for (_, ratio), (_, ref) in zip(res.rows, rows):
+            assert (ratio is None) == (ref is None)
+            if ref is not None and ref >= 1e-3:
+                assert ratio == pytest.approx(ref, rel=1e-12)
+            elif ref is not None:
+                assert ratio == pytest.approx(ref, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -312,6 +399,9 @@ def test_function_from_spec_variants():
     assert fn(z)[0] == pytest.approx(math.sqrt(1 - 0.5))
     fn, _ = function_from_spec({"type": "bump", "center": 0.5, "width": 0.1})
     assert fn(np.array([0.5]))[0] == pytest.approx(1.0)
+    assert function_from_spec({"type": "monomial", "m": 3.0})[1] == "z^3"
+    assert function_from_spec({"type": "monomial", "m": MAX_TERMS})[1] == f"z^{MAX_TERMS}"
+    assert function_from_spec({"type": "radial_power", "s": 2})[1] == "(1-|z|^2)^2"
     with pytest.raises(ValueError):
         function_from_spec({"type": "mystery"})
 
@@ -325,7 +415,65 @@ def test_function_from_spec_variants():
     {"type": "bump", "center": None, "width": 0.1},
     {"type": "monomial", "m": [3]},
     {"type": "monomial", "m": math.inf},
+    {"type": "monomial", "m": math.nan},
+    {"type": "monomial", "m": 2.7},
+    {"type": "monomial", "m": -3},
+    {"type": "monomial", "m": 1e300},
+    {"type": "monomial", "m": MAX_TERMS + 1},
+    {"type": "monomial", "m": True},
+    {"type": "monomial", "m": "3"},
+    {"type": "monomial", "m": 2, "conjugate": "no"},
+    {"type": "monomial", "m": 2, "conjugate": 1},
+    {"type": "radial_power", "s": "0.5"},
+    {"type": "radial_power", "s": True},
+    {"type": "radial_power", "s": 10 ** 400},
+    {"type": "bump", "center": 0.3, "width": 0},
+    {"type": "bump", "center": 0.3, "width": -0.1},
+    {"type": "bump", "center": "0.3", "width": 0.1},
 ])
 def test_function_from_spec_rejects_malformed(spec):
     with pytest.raises(ValueError):
         function_from_spec(spec)
+
+
+_rng = np.random.default_rng(2024)
+CLOSED_FORM_POINTS = np.concatenate([
+    [0.0, 1.0, -0.6, 0.8j, 0.5 + 0.5j, -0.3 - 0.9j],
+    np.sqrt(_rng.uniform(0.0, 1.0, 200)) * np.exp(1j * _rng.uniform(-PI, PI, 200))])
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 13, 21, 34])
+def test_test_function_matches_monomial_closed_forms(m):
+    z = CLOSED_FORM_POINTS
+    fn, _ = function_from_spec({"type": "monomial", "m": m})
+    _assert_close(fn(z), z ** m)
+    fn, _ = function_from_spec({"type": "monomial", "m": m, "conjugate": True})
+    _assert_close(fn(z), np.conj(z) ** m)
+
+
+def test_test_function_matches_radial_closed_forms():
+    z = CLOSED_FORM_POINTS
+    for s in (0.25, 0.5, 1.0, 2.5):
+        fn, _ = function_from_spec({"type": "radial_power", "s": s})
+        _assert_close(fn(z), (1.0 - np.abs(z) ** 2) ** s)
+    for c, w in ((0.3, 0.1), (0.7, 0.1), (0.0, 0.4)):
+        fn, _ = function_from_spec({"type": "bump", "center": c, "width": w})
+        _assert_close(fn(z), np.exp(-(((np.abs(z) - c) / w) ** 2)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_default_family_random_functions_match_closed_form(seed):
+    z = CLOSED_FORM_POINTS
+    rng = np.random.default_rng(seed)
+    family = default_family(40, seed)
+    for i, (name, fn) in enumerate(family[-3:]):
+        c = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+        d = rng.standard_normal(4)
+        r, u = np.abs(z), np.exp(1j * np.angle(z))
+        want = np.polyval(c[::-1], u) * u ** -6 * sum(dj * r ** j for j, dj in enumerate(d))
+        assert name == f"random_{i}"
+        _assert_close(fn(z), want)
