@@ -15,8 +15,8 @@ from .regularity import (CoefficientConditions, SchurIntegral, SchurReport,
 from .projector import (DiscreteProjector, ProbeResult, SplitWitness, TestFunction,
                         build_projector, cs_split_witness, default_family, lp_norm, lp_probe,
                         project)
-from .weights import (ConstantWeight, DiracAugmentedWeight, MomentEntry, MomentTable,
-                      QuadratureError, RadialWeight, SampledWeight, StepWeight, WeightError,
+from .weights import (ConstantWeight, DiracAugmentedWeight, MomentTable, QuadratureError,
+                      RadialWeight, SampledWeight, StepWeight, WeightError,
                       alphas_closed_form, load_weight, moment_quadrature, moment_table,
                       weight_from_json, weight_to_json)
 from .zeros import (DiracZeroResult, InflationCheck, RoucheCertificate, SecondDifferenceSummary,
@@ -28,7 +28,7 @@ from .zeros import (DiracZeroResult, InflationCheck, RoucheCertificate, SecondDi
 __all__ = [
     "__version__",
     "ConstantWeight", "StepWeight", "SampledWeight", "DiracAugmentedWeight", "RadialWeight",
-    "MomentEntry", "MomentTable", "WeightError", "QuadratureError",
+    "MomentTable", "WeightError", "QuadratureError",
     "alphas_closed_form", "moment_quadrature", "moment_table",
     "weight_from_json", "weight_to_json", "load_weight",
     "KernelValue", "ToleranceError", "tail_bound", "kernel_eval", "diagonal_poly",

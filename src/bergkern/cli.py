@@ -130,7 +130,8 @@ def _cmd_moments(args, parser) -> int:
     except QuadratureError as exc:
         print(f"error at index {exc.index}: {exc}", file=sys.stderr)
         return 1
-    rows = [[e.n, repr(e.mu), repr(e.alpha), e.method, repr(e.err)] for e in table.entries]
+    rows = [[n, repr(mu), repr(alpha), table.method, repr(err)] for n, (mu, alpha, err)
+            in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist()))]
     emit_csv(f"moments of {weight.label()}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; "
              f"alpha_n = 1/mu_n; units {TRUE_UNITS}",
              ["n", "mu", "alpha", "method", "err"], rows, args.out)

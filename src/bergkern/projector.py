@@ -42,7 +42,13 @@ import numpy as np
 
 from .weights import MAX_TERMS, DiracAugmentedWeight
 
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+@lru_cache(maxsize=None)
+def _leggauss(deg: int):
+    """Gauss-Legendre nodes and weights of degree ``deg``; numpy.polynomial loads on first use."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(deg)
+
 
 MAX_GRID_POINTS = 1 << 21   # caps R*M, and (nodes per segment)^2: each Gauss rule's matrix
 

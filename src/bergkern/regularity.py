@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -106,12 +105,31 @@ class SchurIntegral:
         return self.value + self.tail
 
 
-@lru_cache(maxsize=8)
-def _beta_factors(length: int, epsilon: float) -> np.ndarray:
-    """B(n+1, eps+1) for n = 0..length-1, read-only and cached per (length, eps)."""
-    beta = np.exp(np.array([log_beta(k + 1.0, epsilon + 1.0) for k in range(length)]))
-    beta.flags.writeable = False
-    return beta
+SCHUR_BLOCK_TERMS = 1 << 20     # entries of one block of the (radii x n) series: caps its memory
+
+
+def _schur_integrals(betas: np.ndarray, epsilon: float, radii) -> list:
+    """``SchurIntegral`` at each radius, every value from one (radii x n) Beta series.
+
+    Each row of the term array is summed on its own, so a value is bit for bit
+    the one its radius gives alone.  Rows go in blocks of SCHUR_BLOCK_TERMS entries.
+    """
+    for r in radii:
+        if not 0.0 <= r < 1.0:
+            raise ValueError(f"need |z| < 1, got {r}")
+    n = np.arange(len(betas))
+    beta = np.exp(np.array([log_beta(k + 1.0, epsilon + 1.0) for k in range(len(betas))]))
+    weights = np.abs(betas) ** 2
+    values = np.empty(len(radii))
+    rows = max(1, SCHUR_BLOCK_TERMS // max(1, len(betas)))
+    for lo in range(0, len(radii), rows):
+        block = np.array(radii[lo:lo + rows], dtype=float)[:, None]
+        values[lo:lo + rows] = np.sum(weights * block ** (2 * n) * math.pi * beta, axis=1)
+    # remainder past the stored range: |beta_n| <= sup |beta|, B(n+1, eps+1) <= 1/(eps+1)
+    sup2 = float(np.max(np.abs(betas), initial=0.0)) ** 2
+    return [SchurIntegral(value=float(v), tail=0.0 if r == 0.0 else sup2 * math.pi / (epsilon + 1.0)
+                          * r ** (2 * len(betas)) / (1.0 - r ** 2))
+            for r, v in zip(radii, values)]
 
 
 def schur_integral(betas, epsilon: float, z_radius: float) -> SchurIntegral:
@@ -123,19 +141,7 @@ def schur_integral(betas, epsilon: float, z_radius: float) -> SchurIntegral:
     = 1/(eps+1) and |beta_n| <= sup |beta|.
     """
     _check_epsilon(epsilon)
-    if not 0.0 <= z_radius < 1.0:
-        raise ValueError(f"need |z| < 1, got {z_radius}")
-    betas = np.asarray(betas, dtype=float)
-    n = np.arange(len(betas))
-    terms = np.abs(betas) ** 2 * z_radius ** (2 * n) * math.pi * _beta_factors(len(betas), epsilon)
-    value = float(np.sum(terms))
-    if z_radius == 0.0:
-        tail = 0.0
-    else:
-        sup2 = float(np.max(np.abs(betas))) ** 2
-        tail = sup2 * math.pi / (epsilon + 1.0) \
-            * z_radius ** (2 * len(betas)) / (1.0 - z_radius ** 2)
-    return SchurIntegral(value=value, tail=tail)
+    return _schur_integrals(np.asarray(betas, dtype=float), epsilon, (z_radius,))[0]
 
 
 SCHUR_QUAD_TOL = 1e-11     # absolute and relative tolerance of the radial quadrature
@@ -197,7 +203,8 @@ def schur_bound_check(betas, epsilon: float, grid) -> SchurReport:
     theoretical = schur_theoretical_constant(epsilon)
     betas = np.asarray(betas, dtype=float)
     radii = tuple(float(r) for r in grid)
-    ratios = [schur_integral(betas, epsilon, r).upper / (1.0 - r ** 2) ** epsilon for r in radii]
+    ratios = [s.upper / (1.0 - r ** 2) ** epsilon
+              for r, s in zip(radii, _schur_integrals(betas, epsilon, radii))]
     empirical = max(ratios)
     sup = float(np.max(np.abs(betas)))
     return SchurReport(epsilon=epsilon, z_grid=radii, ratios=tuple(ratios),

@@ -15,8 +15,9 @@ which is the source of every tail bound in the package.
 
 Supported weight shapes:
 
-* ``ConstantWeight(value)``
 * ``StepWeight(segments)`` -- piecewise constant, breakpoints ending at 1
+* ``ConstantWeight(value)`` -- the one-segment ``StepWeight``: it adds only
+  its own label and JSON form, and every closed form is the step's
 * ``SampledWeight(radii, values)`` -- piecewise linear through samples,
   constant extrapolation outside the sampled range
 * ``DiracAugmentedWeight(mass)`` -- Lebesgue weight 1 plus a point mass at
@@ -32,9 +33,9 @@ Every shape is constant (= v_out) on an outer annulus [r_hat, 1), and
 Each shape carries its own closed forms, so nothing downstream dispatches
 on the type:
 
-* ``outer_g(n_max)`` -- g_0..g_n_max, vectorised over n: 0 for the constant,
-  mass/pi at n = 0 for the point mass, one ``exp`` per step jump and one
-  ``exp``/``expm1`` pair per sloped interval of a sampled weight;
+* ``outer_g(n_max)`` -- g_0..g_n_max, vectorised over n: one ``exp`` per step
+  jump (none for a constant), one ``exp``/``expm1`` pair per sloped interval
+  of a sampled weight, and mass/pi at n = 0 for the point mass;
 * ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
   majorant (the comparability constant; 1 for the point mass);
 * ``outer_tail()`` -- (v_out, G, q) with |g_n| <= G*q^(n+1), q = r_hat^2;
@@ -116,41 +117,6 @@ class _Weight:
 
 
 @dataclass(frozen=True)
-class ConstantWeight(_Weight):
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise WeightError(f"constant weight must be positive, got {self.value}")
-
-    @property
-    def comparability_constant(self) -> float:
-        return max(self.value, 1.0 / self.value)
-
-    @property
-    def breakpoints(self):
-        return (1.0,)
-
-    def evaluate(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.value)
-
-    def label(self) -> str:
-        return f"constant({self.value:g})"
-
-    def outer_g(self, n_max: int) -> np.ndarray:
-        return np.zeros(n_max + 1)
-
-    def outer_tail(self):
-        return self.value, 0.0, 0.0
-
-    def outer_tail_terms(self):
-        return ()
-
-    def to_json(self) -> dict:
-        return {"type": "constant", "value": self.value}
-
-
-@dataclass(frozen=True)
 class StepWeight(_Weight):
     """Piecewise-constant weight: value ``values[i]`` on (breakpoints[i-1], breakpoints[i]].
 
@@ -226,6 +192,25 @@ class StepWeight(_Weight):
     def to_json(self) -> dict:
         segments = [[b, v] for b, v in zip(self.breakpoints, self.values)]
         return {"type": "step", "segments": segments}
+
+
+class ConstantWeight(StepWeight):
+    """lam = value on [0, 1): the one-segment step, so every closed form is the step's."""
+
+    def __init__(self, value: float = 1.0):
+        if not (value > 0 and math.isfinite(value)):
+            raise WeightError(f"constant weight must be positive, got {value}")
+        super().__init__(breakpoints=(1.0,), values=(value,))
+
+    @property
+    def value(self) -> float:
+        return self.values[0]
+
+    def label(self) -> str:
+        return f"constant({self.value:g})"
+
+    def to_json(self) -> dict:
+        return {"type": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -330,54 +315,30 @@ class DiracAugmentedWeight(_Weight):
         return {"type": "dirac", "mass": self.mass}
 
 
-RadialWeight = Union[ConstantWeight, StepWeight, SampledWeight, DiracAugmentedWeight]
-
-
-def as_step(weight) -> StepWeight:
-    """View a constant weight as a one-segment step (identity on steps)."""
-    if isinstance(weight, StepWeight):
-        return weight
-    if isinstance(weight, ConstantWeight):
-        return StepWeight(breakpoints=(1.0,), values=(weight.value,))
-    raise WeightError(f"not a piecewise-constant weight: {weight!r}")
+RadialWeight = Union[StepWeight, SampledWeight, DiracAugmentedWeight]
 
 
 # ---------------------------------------------------------------------------
 # moment table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentEntry:
-    n: int
-    mu: float
-    alpha: float
-    method: str          # "closed_form" | "quadrature"
-    err: float           # nominal relative error: a fixed 5e-16 for the closed form (not
-                         # a proven bound), quad's error estimate for quadrature
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
+    """mu_n, alpha_n and err_n for n = 0..n_max, as read-only arrays."""
     weight: RadialWeight
-    entries: tuple
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([e.alpha for e in self.entries], dtype=float)
-
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([e.mu for e in self.entries], dtype=float)
+    mus: np.ndarray
+    alphas: np.ndarray
+    errs: np.ndarray     # nominal relative error: a fixed 5e-16 for the closed form (not
+                         # a proven bound), quad's error estimate for quadrature
+    method: str          # "closed_form" | "quadrature"
 
     def sandwich_holds(self) -> bool:
-        """(n+1)/(C*pi) <= alpha_n <= C*(n+1)/pi for every entry."""
+        """(n+1)/(C*pi) <= alpha_n <= C*(n+1)/pi for every n."""
         c = self.weight.comparability_constant
-        for e in self.entries:
-            lo = (e.n + 1) / (c * math.pi) * (1 - 10 * e.err)
-            hi = c * (e.n + 1) / math.pi * (1 + 10 * e.err)
-            if not (lo <= e.alpha <= hi):
-                return False
-        return True
+        n1 = np.arange(1, len(self.alphas) + 1, dtype=float)
+        lo = n1 / (c * math.pi) * (1 - 10 * self.errs)
+        hi = c * n1 / math.pi * (1 + 10 * self.errs)
+        return bool(np.all((lo <= self.alphas) & (self.alphas <= hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +405,11 @@ def moment_table(weight, n_max: int, tol: float = 1e-12, method: str = "auto") -
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if method != "quadrature":
-        return MomentTable(weight=weight, entries=tuple(
-            MomentEntry(n, 1.0 / alpha, alpha, "closed_form", 5e-16)
-            for n, alpha in enumerate(alphas_closed_form(weight, n_max).tolist())))
-    entries = []
-    for n in range(n_max + 1):
-        mu, alpha, err = moment_quadrature(weight, n, tol=tol)
-        entries.append(MomentEntry(n, mu, alpha, "quadrature", err))
-    return MomentTable(weight=weight, entries=tuple(entries))
+        alphas = alphas_closed_form(weight, n_max)
+        return MomentTable(weight, *_frozen_arrays(1.0 / alphas, alphas, np.full(n_max + 1, 5e-16)),
+                           method="closed_form")
+    rows = [moment_quadrature(weight, n, tol=tol) for n in range(n_max + 1)]
+    return MomentTable(weight, *_frozen_arrays(*zip(*rows)), method="quadrature")
 
 
 def alphas_closed_form(weight, n_max: int) -> np.ndarray:
@@ -469,20 +427,35 @@ def weight_to_json(weight) -> dict:
     return weight.to_json()
 
 
+def _field(obj: dict, name: str, convert, *default):
+    """``convert(obj[name])``; a missing or malformed field raises WeightError naming it."""
+    if name not in obj and not default:
+        raise WeightError(f"{obj['type']} weight JSON needs a {name!r} field")
+    try:
+        return convert(obj.get(name, *default))
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
+        raise WeightError(
+            f"malformed {name!r} field in {obj['type']} weight JSON ({exc})") from None
+
+
+def _floats(items) -> tuple:
+    return tuple(float(x) for x in items)
+
+
 def weight_from_json(obj: dict):
     try:
         kind = obj["type"]
     except (KeyError, TypeError):
         raise WeightError("weight JSON must be an object with a 'type' field") from None
     if kind == "constant":
-        return ConstantWeight(value=float(obj.get("value", 1.0)))
+        return ConstantWeight(_field(obj, "value", float, 1.0))
     if kind == "step":
-        segs = obj["segments"]
-        return StepWeight(breakpoints=tuple(s[0] for s in segs), values=tuple(s[1] for s in segs))
+        return StepWeight(*_field(obj, "segments", lambda segs: (
+            _floats(s[0] for s in segs), _floats(s[1] for s in segs))))
     if kind == "sampled":
-        return SampledWeight(radii=tuple(obj["radii"]), values=tuple(obj["values"]))
+        return SampledWeight(_field(obj, "radii", _floats), _field(obj, "values", _floats))
     if kind == "dirac":
-        return DiracAugmentedWeight(mass=float(obj["mass"]))
+        return DiracAugmentedWeight(_field(obj, "mass", float))
     raise WeightError(f"unknown weight type {kind!r}")
 
 

@@ -37,9 +37,8 @@ import numpy as np
 from . import kernel
 from .kernel import (ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, tail_bound,
                      terms_for_tolerance)
-from .weights import SampledWeight, StepWeight, as_step, radial_integral
+from .weights import SampledWeight, StepWeight, WeightError, radial_integral
 
-_polyval = np.polynomial.polynomial.polyval
 _U = 0.5 * np.finfo(float).eps               # unit roundoff
 _TINY = float(np.finfo(float).smallest_subnormal)
 
@@ -315,7 +314,8 @@ def _newton_refine(weight, start: complex, residual_target: float):
         if total <= residual_target:
             return LocatedZero(location=t, residual=total, iterations=it - 1)
         a = weight.alphas(fv.n_used)
-        deriv = _polyval(t, (a[1:] * np.arange(1, fv.n_used + 1)).astype(complex))
+        deriv_coeffs = (a[1:] * np.arange(1, fv.n_used + 1)).astype(complex)
+        deriv = np.polynomial.polynomial.polyval(t, deriv_coeffs)
         if deriv == 0:
             return None
         t = t - fv.value / deriv
@@ -480,12 +480,13 @@ def mollify_weight(step, width: float) -> SampledWeight:
     returned as a densely sampled weight (piecewise-linear through the
     samples).
     """
-    w = as_step(step)
+    if not isinstance(step, StepWeight):
+        raise WeightError(f"not a piecewise-constant weight: {step!r}")
     if width <= 0:
         raise ValueError("width must be positive")
-    interior = [b for b in w.breakpoints if b < 1.0]
+    interior = [b for b in step.breakpoints if b < 1.0]
     if not interior:
-        v = w.values[0]
+        v = step.values[0]
         return SampledWeight(radii=(0.0, 0.5), values=(v, v))
     edges = [0.0, *interior, 1.0]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -494,16 +495,16 @@ def mollify_weight(step, width: float) -> SampledWeight:
                 f"width {width} too large: transition zones of neighbouring jumps "
                 f"(or the domain ends) would overlap on ({lo}, {hi})")
     radii = [0.0]
-    values = [w.values[0]]
+    values = [step.values[0]]
     for i, b in enumerate(interior):
-        v_left, v_right = w.values[i], w.values[i + 1]
+        v_left, v_right = step.values[i], step.values[i + 1]
         rr = np.linspace(b - width, b + width, TRANSITION_SAMPLES)
         vv = v_left + (v_right - v_left) * _smooth_transition((rr - (b - width)) / (2.0 * width))
         radii.extend(rr.tolist())
         values.extend(vv.tolist())
     last = interior[-1] + width
     radii.append(min(0.5 * (last + 1.0), 1.0 - 1e-9))
-    values.append(w.values[-1])
+    values.append(step.values[-1])
     return SampledWeight(radii=tuple(radii), values=tuple(values))
 
 

@@ -107,6 +107,19 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.strip() == "False"
 
 
+def test_cli_import_loads_no_numpy_polynomial_beyond_numpy():
+    code = ("import sys, numpy\n"
+            "before = {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+            "import bergkern.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')\n"
+            "             and m not in before))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 _NAN_SAMPLED = {"type": "sampled", "radii": [math.nan, 0.5], "values": [2, 1]}
 _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
 
@@ -157,6 +170,15 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["inflate-check", "--step", "18,0.25", "--z", "0.4", "--t", "0.3", "--tol", "-1"], None),
     (["repro-all", "--only", "dirac", "--perturb", "nan"], None),
     (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
+    *[(["moments", "--weight", "{file}", "-N", "2"], bad) for bad in (
+        {"type": "step"},
+        {"type": "step", "segments": [[1.0]]},
+        {"type": "step", "segments": 5},
+        {"type": "sampled", "radii": [0.1, 0.5]},
+        {"type": "dirac"},
+        {"type": "constant", "value": [1]},
+        {"type": "sampled", "radii": [0.1, 0.5], "values": [1, None]},
+    )],
 ], ids=["functions-missing", "functions-missing-key", "functions-not-a-list",
         "functions-fractional-m", "functions-negative-m", "functions-huge-m",
         "functions-string-conjugate", "functions-zero-width", "functions-string-s",
@@ -168,7 +190,9 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
         "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
         "kernel-eval-origin-negative-tol", "inflate-check-negative-tol", "repro-all-nan-perturb",
-        "repro-all-perturb-minus-1"])
+        "repro-all-perturb-minus-1", "weight-step-no-segments", "weight-step-short-segment",
+        "weight-step-segments-not-a-list", "weight-sampled-no-values", "weight-dirac-no-mass",
+        "weight-constant-list-value", "weight-sampled-null-value"])
 def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
     spec_file = tmp_path / "input.json"       # a function list or a weight definition
     if payload is not None:
@@ -365,6 +389,26 @@ def test_moments_csv_both_methods(tmp_path):
         assert len(lines) == 2 + 6
         first = lines[2].split(",")
         assert float(first[2]) == pytest.approx(16.0 / (33.0 * PI), rel=1e-10)
+
+
+@pytest.mark.parametrize("argv, label, rows", [
+    (["--weight", "constant:2.5"], "constant(2.5)",
+     ["0,7.853981633974483,0.12732395447351627,closed_form,5e-16",
+      "1,3.9269908169872414,0.25464790894703254,closed_form,5e-16",
+      "2,2.617993877991494,0.38197186342054884,closed_form,5e-16",
+      "3,1.9634954084936207,0.5092958178940651,closed_form,5e-16"]),
+    (["--step", "18,0.25"], "step[(0.25,18),(1,1)]",
+     ["0,6.4795348480289485,0.15433206602850458,closed_form,5e-16",
+      "1,1.6751070203711202,0.5969767828794902,closed_form,5e-16",
+      "2,1.051543830095607,0.9509827088320982,closed_form,5e-16",
+      "3,0.7856018952208393,1.2729093527948931,closed_form,5e-16"]),
+], ids=["constant", "plateau"])
+def test_moments_closed_form_csv_bytes(argv, label, rows, capsys):
+    assert main(["moments", *argv, "-N", "3"]) == 0
+    assert capsys.readouterr().out == (
+        f"# moments of {label}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; alpha_n = 1/mu_n; "
+        f"units true: alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)\n"
+        "n,mu,alpha,method,err\n" + "".join(row + "\n" for row in rows))
 
 
 def test_inflate_check(tmp_path):

@@ -157,11 +157,18 @@ def test_schur_bound_check_ratios_match_schur_integral(step18):
     grid = np.linspace(0.0, 0.99, 34)
     rep = schur_bound_check(seq, -0.3, grid)
     for r, ratio in zip(grid, rep.ratios):
-        # bit-identical: the check calls schur_integral for each radius
+        # bit-identical: each row of the check's (radii x n) series sums as one radius alone
         assert ratio == schur_integral(seq, -0.3, r).upper / (1.0 - r ** 2) ** -0.3
-    # the Beta factors are built once per (length, eps) and shared read-only
-    beta = regularity._beta_factors(401, -0.3)
-    assert beta is regularity._beta_factors(401, -0.3) and not beta.flags.writeable
+
+
+def test_schur_bound_check_blocks_leave_ratios_alone(step18, monkeypatch):
+    seq = np.diff(step18.alphas(400), prepend=0.0)
+    grid = np.linspace(0.0, 0.99, 34)
+    whole = schur_bound_check(seq, -0.3, grid)
+    monkeypatch.setattr(regularity, "SCHUR_BLOCK_TERMS", 5 * 401)     # 5, 5, ..., 4 rows
+    assert schur_bound_check(seq, -0.3, grid) == whole
+    monkeypatch.setattr(regularity, "SCHUR_BLOCK_TERMS", 1)            # one row per block
+    assert schur_bound_check(seq, -0.3, grid) == whole
 
 
 def test_schur_bound_check_uniform_sequence():

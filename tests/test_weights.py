@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, SampledWeight,
@@ -13,7 +15,7 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, Sam
                       weight_from_json, weight_to_json)
 from bergkern import weights
 from bergkern.weights import alphas_closed_form
-from bergkern.zeros import mollify_weight
+from bergkern.zeros import mollify_weight, second_difference_bound
 from rational_oracle import step_alpha_pi_fraction
 
 PI = math.pi
@@ -42,8 +44,8 @@ def test_constant_weight_alpha_is_arithmetic():
 
 def test_constant_scaling():
     table = moment_table(ConstantWeight(2.5), 2)
-    for n, entry in enumerate(table.entries):
-        assert entry.alpha == pytest.approx((n + 1) / (2.5 * PI), rel=1e-14)
+    for n, alpha in enumerate(table.alphas):
+        assert alpha == pytest.approx((n + 1) / (2.5 * PI), rel=1e-14)
 
 
 def test_negative_index_rejected(step18):
@@ -122,7 +124,7 @@ def test_moment_table_constant_first_four():
 
 def test_moment_table_quadrature_method(step18):
     table = moment_table(step18, 3, method="quadrature")
-    assert all(e.method == "quadrature" for e in table.entries)
+    assert table.method == "quadrature" and len(table.errs) == 4
     assert table.alphas == pytest.approx(moment_table(step18, 3).alphas, rel=1e-11)
 
 
@@ -412,3 +414,68 @@ def test_weight_from_json_rejects_garbage():
         weight_from_json({"type": "pyramid"})
     with pytest.raises(WeightError):
         weight_from_json(["not", "an", "object"])
+    # a missing or malformed field is a WeightError that names it, never a KeyError,
+    # IndexError, TypeError or OverflowError
+    for bad, field in [
+        ({"type": "step"}, "'segments'"),
+        ({"type": "step", "segments": [[1.0]]}, "'segments'"),
+        ({"type": "step", "segments": 5}, "'segments'"),
+        ({"type": "step", "segments": [[None, 1.0]]}, "'segments'"),
+        ({"type": "sampled", "radii": [0.1, 0.5]}, "'values'"),
+        ({"type": "sampled", "values": [1, 2]}, "'radii'"),
+        ({"type": "dirac"}, "'mass'"),
+        ({"type": "dirac", "mass": 10 ** 400}, "'mass'"),
+        ({"type": "constant", "value": [1]}, "'value'"),
+        ({"type": "constant", "value": None}, "'value'"),
+        ({"type": "sampled", "radii": [0.1, 0.5], "values": [1, None]}, "'values'"),
+    ]:
+        with pytest.raises(WeightError, match=field):
+            weight_from_json(bad)
+
+
+def test_weight_from_json_keeps_accepting_loose_numbers():
+    assert weight_from_json({"type": "constant"}) == ConstantWeight(1.0)
+    assert weight_from_json({"type": "constant", "value": "2.5"}) == ConstantWeight(2.5)
+    assert weight_from_json({"type": "step", "segments": [["0.25", 18, "extra"], [1, "1"]]}) \
+        == StepWeight.from_plateau(18.0, 0.25)
+    assert weight_from_json({"type": "dirac", "mass": True}) == DiracAugmentedWeight(1.0)
+
+
+@pytest.mark.parametrize("weight", [
+    SampledWeight(radii=(0.0, 0.5), values=(2.0, 1.0)),
+    DiracAugmentedWeight(10.0),
+])
+def test_mollify_rejects_weights_that_are_not_steps(weight):
+    message = f"not a piecewise-constant weight: {weight!r}"
+    with pytest.raises(WeightError, match=re.escape(message)):
+        mollify_weight(weight, 1e-3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(v=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(v=1.0)
+@example(v=0.25)
+@example(v=2.5)
+@example(v=1e-300)
+@example(v=1e300)
+def test_constant_is_the_one_segment_step(v):
+    const, step = ConstantWeight(v), StepWeight((1.0,), (v,))
+    assert isinstance(const, StepWeight) and const.value == v
+
+    def same(a, b):          # bit for bit, NaN and signed zero included
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        assert same(const.alphas(60), step.alphas(60))
+        assert same(const.outer_g(60), step.outer_g(60))
+        assert same(const.outer_tail(), step.outer_tail())
+        assert const.outer_tail_terms() == step.outer_tail_terms() == ()
+        r = np.array([0.0, 0.25, 0.5, 0.999, 1.0])
+        assert same(const.evaluate(r), step.evaluate(r))
+        assert same(const.comparability_constant, step.comparability_constant)
+        sd_const, sd_step = (second_difference_bound(w, 50) for w in (const, step))
+    for f in dataclasses.fields(sd_const):
+        assert same(getattr(sd_const, f.name), getattr(sd_step, f.name)), f.name
+    assert const == ConstantWeight(v) and hash(const) == hash(ConstantWeight(v))
+    assert weight_from_json(json.loads(json.dumps(weight_to_json(const)))) == const
