@@ -7,6 +7,13 @@ multiplies the display by 2*pi.  Exit codes: 0 success, 1 computational
 failure (uncertified or out-of-tolerance result), 2 usage error.
 Randomized families are seeded, so identical invocations produce
 byte-identical output.
+
+Commands raise on failure, and ``main`` alone turns a failure into output:
+one line ``error: <message>`` on stderr, nothing on stdout beyond lines
+already printed and nothing in ``--out``.  ToleranceError and
+QuadratureError exit 1; ValueError (WeightError too) and OSError, such as
+an ``--out`` that cannot be opened, exit 2.  argparse reports its own
+parse errors.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ import numpy as np
 from . import __version__
 from .kernel import MAX_TERMS, ToleranceError, kernel_eval
 from .regularity import coefficient_conditions, schur_bound_check
-from .weights import (ConstantWeight, StepWeight, WeightError, QuadratureError, load_weight,
-                      moment_table)
+from .weights import ConstantWeight, QuadratureError, StepWeight, load_weight, moment_table
 from .zeros import (auto_rouche_epsilon, count_zeros_winding, dirac_zero_threshold,
                     inflation_check, rouche_certificate, second_difference_bound,
                     sweep_step_weights)
@@ -59,27 +65,21 @@ def parse_range(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
-def resolve_weight(args, parser: argparse.ArgumentParser):
-    if getattr(args, "step", None):
-        try:
+def resolve_weight(args):
+    """The weight named by --step or --weight; bad input raises ValueError naming the flag."""
+    if not (args.step or args.weight):
+        raise ValueError("one of --weight/--step is required")
+    try:
+        if args.step:
             a_str, x_str = args.step.split(",")
             return StepWeight.from_plateau(float(a_str), float(x_str))
-        except (ValueError, WeightError) as exc:
-            parser.error(f"--step: {exc}")
-    name = getattr(args, "weight", None)
-    if not name:
-        parser.error("one of --weight/--step is required")
-    if name == "constant1":
-        return ConstantWeight(1.0)
-    if name.startswith("constant:"):
-        try:
-            return ConstantWeight(float(name.split(":", 1)[1]))
-        except (ValueError, WeightError) as exc:
-            parser.error(f"--weight: {exc}")
-    try:
-        return load_weight(name)
-    except (OSError, ValueError, WeightError) as exc:
-        parser.error(f"--weight: {exc}")
+        if args.weight == "constant1":
+            return ConstantWeight(1.0)
+        if args.weight.startswith("constant:"):
+            return ConstantWeight(float(args.weight.split(":", 1)[1]))
+        return load_weight(args.weight)
+    except (OSError, ValueError) as exc:    # WeightError is a ValueError
+        raise ValueError(f"{'--step' if args.step else '--weight'}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -107,29 +107,20 @@ def emit_csv(comment: str, header: list, rows: list, out: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_kernel_eval(args, parser) -> int:
-    weight = resolve_weight(args, parser)
-    try:
-        result = kernel_eval(weight, args.z, args.w, tol=args.tol)
-    except ToleranceError as exc:
-        emit_json({"error": str(exc), "achieved_bound": exc.achieved,
-                   "units": TRUE_UNITS}, args.out)
-        return 1
+def _cmd_kernel_eval(args) -> int:
+    weight = resolve_weight(args)
+    result = kernel_eval(weight, args.z, args.w, tol=args.tol)
     emit_json({"value_re": result.value.real, "value_im": result.value.imag,
                "err_bound": result.err_bound, "N_used": result.n_used,
                "units": TRUE_UNITS}, args.out)
     return 0
 
 
-def _cmd_moments(args, parser) -> int:
-    weight = resolve_weight(args, parser)
+def _cmd_moments(args) -> int:
+    weight = resolve_weight(args)
     if args.n_terms > MAX_TERMS:
         raise ValueError(f"-N {args.n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
-    try:
-        table = moment_table(weight, args.n_terms, tol=args.tol, method=args.method)
-    except QuadratureError as exc:
-        print(f"error at index {exc.index}: {exc}", file=sys.stderr)
-        return 1
+    table = moment_table(weight, args.n_terms, tol=args.tol, method=args.method)
     rows = [[n, repr(mu), repr(alpha), table.method, repr(err)] for n, (mu, alpha, err)
             in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist()))]
     emit_csv(f"moments of {weight.label()}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; "
@@ -138,8 +129,8 @@ def _cmd_moments(args, parser) -> int:
     return 0
 
 
-def _cmd_find_zeros(args, parser) -> int:
-    weight = resolve_weight(args, parser)
+def _cmd_find_zeros(args) -> int:
+    weight = resolve_weight(args)
     report = count_zeros_winding(weight, args.rho,
                                  n_terms=args.n_terms, locate=not args.no_locate)
     emit_json({
@@ -155,8 +146,8 @@ def _cmd_find_zeros(args, parser) -> int:
     return 0 if report.certified else 1
 
 
-def _cmd_rouche(args, parser) -> int:
-    weight = resolve_weight(args, parser)
+def _cmd_rouche(args) -> int:
+    weight = resolve_weight(args)
     factor = 2.0 * math.pi if args.scaled_units else 1.0
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
     payload = {"units": units, "weight": weight.label()}
@@ -182,7 +173,7 @@ def _cmd_rouche(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     if len(args.A) * len(args.x) > MAX_RANGE_POINTS:
         raise ValueError(f"sweep grid of {len(args.A)} x {len(args.x)} cells exceeds "
                          f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
@@ -195,7 +186,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0 if all(c.certified for c in cells) else 1
 
 
-def _cmd_dirac(args, parser) -> int:
+def _cmd_dirac(args) -> int:
     result = dirac_zero_threshold(args.k)
     emit_json({"mass": result.mass, "threshold": result.threshold,
                "has_zero_in_disc": result.has_zero_in_disc,
@@ -203,13 +194,9 @@ def _cmd_dirac(args, parser) -> int:
     return 0
 
 
-def _cmd_inflate_check(args, parser) -> int:
-    weight = resolve_weight(args, parser)
-    try:
-        chk = inflation_check(weight, args.z, args.t, tol=args.tol)
-    except QuadratureError as exc:
-        emit_json({"error": str(exc), "units": TRUE_UNITS}, args.out)
-        return 1
+def _cmd_inflate_check(args) -> int:
+    weight = resolve_weight(args)
+    chk = inflation_check(weight, args.z, args.t, tol=args.tol)
     emit_json({"lhs_re": chk.lhs.real, "lhs_im": chk.lhs.imag,
                "rhs_re": chk.rhs.real, "rhs_im": chk.rhs.imag,
                "abs_diff": chk.abs_diff, "agree": chk.agree,
@@ -230,8 +217,8 @@ def _sequence_for(args, weight):
     return "diff", np.diff(alphas, prepend=0.0)
 
 
-def _cmd_schur(args, parser) -> int:
-    weight = resolve_weight(args, parser)
+def _cmd_schur(args) -> int:
+    weight = resolve_weight(args)
     name, betas = _sequence_for(args, weight)
     report = schur_bound_check(betas, args.eps, args.grid)
     rows = [[f"{r:.10g}", repr(v)] for r, v in zip(report.z_grid, report.ratios)]
@@ -248,8 +235,8 @@ COEFF_NOTE = ("finite_trend and bounded_verdict are proven for all n from the we
               "limsup_estimate, sup_diff, sup_b and within_window cover only n <= n_max")
 
 
-def _cmd_coeff_check(args, parser) -> int:
-    weight = resolve_weight(args, parser)
+def _cmd_coeff_check(args) -> int:
+    weight = resolve_weight(args)
     factor = 2.0 * math.pi if args.scaled_units else 1.0
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
     cc = coefficient_conditions(weight, args.n_terms)
@@ -276,10 +263,9 @@ def _cmd_coeff_check(args, parser) -> int:
     return 0
 
 
-def _cmd_lp_probe(args, parser) -> int:
+def _cmd_lp_probe(args) -> int:
     from .projector import default_family, function_from_spec, lp_probe
-    weight = resolve_weight(args, parser)
-    family = None
+    weight = resolve_weight(args)
     if args.functions:
         try:
             with open(args.functions, "r", encoding="utf-8") as fh:
@@ -288,7 +274,7 @@ def _cmd_lp_probe(args, parser) -> int:
                 raise ValueError("expected a JSON list of test-function specs")
             family = [(name, fn) for fn, name in map(function_from_spec, specs)]
         except (OSError, ValueError) as exc:
-            parser.error(f"--functions: {exc}")
+            raise ValueError(f"--functions: {exc}") from None
     else:
         family = default_family(args.n_terms, seed=args.seed)
     p_values = [float(p) for p in args.p.split(",")]
@@ -306,7 +292,7 @@ def _cmd_lp_probe(args, parser) -> int:
     return 0
 
 
-def _cmd_repro_all(args, parser) -> int:
+def _cmd_repro_all(args) -> int:
     from .acceptance import run_all
     only = set(args.only.split(",")) if args.only else None
     results = run_all(only=only, perturb=args.perturb)
@@ -412,19 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args, parser)
-    except SystemExit as exc:          # parser.error inside a subcommand
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:          # argparse: parse errors, --help, --version
         return int(exc.code or 0)
     except (ToleranceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:          # input the computation rejects (WeightError too)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

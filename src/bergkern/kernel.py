@@ -29,12 +29,6 @@ from .weights import MAX_TERMS
 class ToleranceError(RuntimeError):
     """Requested truncation tolerance unreachable within the term budget."""
 
-    def __init__(self, message, achieved=None, n_used=None, value=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.n_used = n_used
-        self.value = value
-
 
 def tail_bound(c: float, rho: float, n: int) -> float:
     """Majorant of |sum_{k>n} alpha_k t^k| on |t| <= rho.
@@ -57,8 +51,7 @@ def terms_for_tolerance(c: float, rho: float, tol: float) -> int:
         return 0
     achieved = tail_bound(c, rho, MAX_TERMS)
     if achieved > tol:
-        raise ToleranceError(f"tail bound {achieved:.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}",
-                             achieved=achieved, n_used=MAX_TERMS)
+        raise ToleranceError(f"tail bound {achieved:.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}")
     return bisect.bisect_left(range(MAX_TERMS + 1), True, key=lambda n: tail_bound(c, rho, n) <= tol)
 
 

@@ -69,17 +69,7 @@ class WeightError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    Carries the best value, its relative error estimate and the moment
-    index, so callers can decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message, value=None, err=None, index=None):
-        super().__init__(message)
-        self.value = value
-        self.err = err
-        self.index = index
+    """Adaptive quadrature missed the requested tolerance; the message names the moment index."""
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +345,8 @@ def radial_integral(weight, power: int, exponent: int = 1, tol: float = 1e-12):
     points, so no subinterval straddles a kink or jump.  Returns (value,
     relative error estimate).  quad accepts no relative tolerance below 50
     machine epsilons, so it is asked for at least that.  When its estimate
-    misses ``tol``, raises QuadratureError carrying the best value, that
-    estimate and the index n of the monomial r^(2n+1).
+    misses ``tol``, raises QuadratureError naming that estimate and the
+    index n of the monomial r^(2n+1).
     """
     from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
     if isinstance(weight, DiracAugmentedWeight):
@@ -373,8 +363,8 @@ def radial_integral(weight, power: int, exponent: int = 1, tol: float = 1e-12):
                     limit=max(QUAD_LIMIT, 2 * len(pts) + 2), full_output=1)[:2]
     rel = err / abs(val)
     if not rel <= tol:
-        raise QuadratureError(f"quadrature error estimate {rel:.2e} misses tol {tol:.2e}",
-                              value=val, err=rel, index=(power - 1) // 2)
+        raise QuadratureError(f"quadrature error estimate {rel:.2e} misses tol {tol:.2e} "
+                              f"at moment index {(power - 1) // 2}")
     return val, rel
 
 

@@ -441,7 +441,7 @@ def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
         report = count_zeros_winding(StepWeight.from_plateau(a, x), rho, locate=False)
         return SweepCell(plateau=a, split=x, rho=rho, zero_count=report.zero_count,
                          certified=report.certified, note=report.diagnostics)
-    except Exception as exc:  # record in-row, never abort the sweep
+    except WeightError as exc:  # a cell the constructor rejects is recorded in-row
         return SweepCell(plateau=a, split=x, rho=rho, zero_count=None,
                          certified=False, note=f"{type(exc).__name__}: {exc}")
 

@@ -210,6 +210,75 @@ def test_repro_all_unknown_id_lists_valid_ids(capsys):
     assert "99" in err and "coeffs" in err and "cs-split" in err
 
 
+def _assert_one_error_line(captured):
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "usage:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, status, needle", [
+    (["kernel-eval", "--step", "18,0.25", "--z", "0.99999", "--w", "0.99999", "--tol", "1e-30"],
+     1, "tail bound 4.324e+07 at 400000 terms"),
+    (["moments", "--step", "18,0.25", "-N", "2", "--method", "quadrature", "--tol", "1e-16"],
+     1, "at moment index 0"),
+    (["inflate-check", "--weight", "constant1", "--z", "0.999999", "--t", "0.999999",
+      "--tol", "1e-12"], 1, "error: tail bound 2.049e+10 at 400000 terms exceeds tol 1.000e-14"),
+    (["find-zeros", "--step", "0,0.25", "--rho", "0.9"], 2, "error: --step: "),
+    (["find-zeros", "--weight", "{missing}", "--rho", "0.9"], 2, "error: --weight: "),
+    (["find-zeros", "--rho", "0.9"], 2, "error: one of --weight/--step is required"),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--functions", "{file}"], 2,
+     "error: --functions: "),
+    (["dirac", "--k", "2", "--out", "{missing}/x.json"], 2, "nope.json"),
+    (["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--out", "{directory}"], 2,
+     "Is a directory"),
+], ids=["kernel-eval-tolerance", "moments-quadrature", "inflate-check-tolerance",
+        "find-zeros-bad-step", "find-zeros-missing-weight", "find-zeros-no-weight",
+        "lp-probe-functions-object", "dirac-missing-out-dir", "find-zeros-out-is-directory"])
+def test_every_failure_is_one_error_line(argv, status, needle, tmp_path, capsys):
+    spec_file = tmp_path / "input.json"
+    spec_file.write_text("{}")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    out = tmp_path / "out.txt"
+    argv = [a.format(file=spec_file, missing=tmp_path / "nope.json", directory=directory)
+            for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert needle in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "nope.json").exists()
+    assert list(directory.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-eval", "--weight", "constant1", "--z", "0.5", "--w", "0.5"],
+    ["moments", "--weight", "constant1", "-N", "3"],
+    ["find-zeros", "--weight", "constant1", "--rho", "0.5"],
+    ["rouche", "--weight", "constant1", "--eps", "0.01", "--n-cutoff", "50"],
+    ["sweep", "--A", "2:2:1", "--x", "0.5:0.5:1", "--rho", "0.5"],
+    ["dirac", "--k", "2"],
+    ["inflate-check", "--weight", "constant1", "--z", "0.4", "--t", "0.3"],
+    ["schur", "--weight", "constant1", "--eps", "-0.25", "--grid", "0:0.5:0.25", "-N", "50"],
+    ["coeff-check", "--weight", "constant1", "-N", "20"],
+    ["lp-probe", "--weight", "constant1", "-N", "4", "--radial", "20"],
+    ["repro-all", "--only", "dirac"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([*argv, "--out", str(missing / "out.json")]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert str(missing / "out.json") in captured.err
+    if argv[0] == "repro-all":      # its criterion lines print before the file is written
+        assert captured.out.endswith("SUMMARY: 1/1 criteria passed\n")
+    else:
+        assert captured.out == ""
+    assert not missing.exists()
+
+
 def test_parse_range_rejects_empty():
     with pytest.raises(Exception, match="empty range"):
         parse_range("5:1:1")
@@ -298,6 +367,26 @@ def test_sweep_csv_and_determinism(tmp_path):
     assert lines[0].startswith("#") and "alpha_n" in lines[0]
     assert lines[1] == "A,x,rho,zero_count,certified,note"
     assert len(lines) == 2 + 4
+
+
+def test_sweep_records_rejected_weights_in_row(capsys):
+    status, out = run(["sweep", "--A", "2:2:1", "--x", "0:1:0.5", "--rho", "0.9"], capsys)
+    assert status == 1
+    assert out == (
+        "# plateau-weight zero counts; units true: alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)\n"
+        "A,x,rho,zero_count,certified,note\n"
+        '2,0,0.9,,False,"WeightError: split must lie in (0,1), got 0.0"\n'
+        "2,0.5,0.9,0,True,\n"
+        '2,1,0.9,,False,"WeightError: split must lie in (0,1), got 1.0"\n')
+
+
+@pytest.mark.parametrize("plateau", ["1e300:1e300:1e299", "1.7e308:1.7e308:1e307"])
+@pytest.mark.parametrize("split", ["0.5:0.5:1", "1e-9:1e-9:1"])
+def test_sweep_certifies_extreme_plateaus(plateau, split, capsys):
+    status, out = run(["sweep", "--A", plateau, "--x", split, "--rho", "0.99"], capsys)
+    assert status == 0
+    row = out.splitlines()[2].split(",")
+    assert row[4] == "True" and int(row[3]) > 0 and row[5] == ""
 
 
 def test_schur_csv(tmp_path):

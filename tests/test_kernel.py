@@ -110,7 +110,9 @@ def test_tolerance_unreachable_raises_with_achieved_bound(step18, monkeypatch):
     monkeypatch.setattr(kernel, "MAX_TERMS", 100)
     with pytest.raises(ToleranceError) as exc_info:
         kernel_eval(step18, 0.99, 0.99, tol=1e-30)
-    assert exc_info.value.achieved > 1e-30
+    achieved = tail_bound(step18.alpha_bound, abs(0.99 * 0.99), 100)
+    assert achieved > 1e-30
+    assert str(exc_info.value) == f"tail bound {achieved:.3e} at 100 terms exceeds tol 1.000e-30"
 
 
 def test_eval_rejects_outside_disc(step18):

@@ -483,6 +483,15 @@ def test_sweep_records_failures_in_row():
     assert good.zero_count is not None
 
 
+def test_sweep_propagates_errors_other_than_weight_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("counter bug")
+
+    monkeypatch.setattr(zeros, "count_zeros_winding", broken)
+    with pytest.raises(RuntimeError, match="counter bug"):
+        sweep_step_weights([2.0], [0.5])
+
+
 def test_sweep_respects_thread_env(monkeypatch):
     monkeypatch.setenv("BERGKERN_THREADS", "1")
     cells = sweep_step_weights([1.0], [0.3, 0.6], rho=0.5)
