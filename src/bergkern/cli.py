@@ -3,17 +3,17 @@
 Scalar results are emitted as JSON, grids as CSV with a leading comment
 line naming the units; every coefficient-valued output is in true units
 (alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)) unless --scaled-units
-multiplies the display by 2*pi.  Exit codes: 0 success, 1 computational
-failure (uncertified or out-of-tolerance result), 2 usage error.
-Randomized families are seeded, so identical invocations produce
-byte-identical output.
+multiplies the display by 2*pi.  Randomized families are seeded, so
+identical invocations produce byte-identical output.  Exit codes: 0
+success, 1 computational failure (an out-of-tolerance result, or an
+uncertified count, which prints null or an empty field), 2 usage error.
 
 Commands raise on failure, and ``main`` alone turns a failure into output:
 one line ``error: <message>`` on stderr, nothing on stdout beyond lines
-already printed and nothing in ``--out``.  ToleranceError and
-QuadratureError exit 1; ValueError (WeightError too) and OSError, such as
-an ``--out`` that cannot be opened, exit 2.  argparse reports its own
-parse errors.  Any other exception is a bug and keeps its traceback.
+already printed and nothing in ``--out``, which fails before any work if it
+is a directory or in a missing one.  ToleranceError and QuadratureError
+exit 1; ValueError (WeightError too) and OSError exit 2.  argparse reports
+its own parse errors.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -400,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            open(args.out, "w").close()     # raises open()'s OSError before any work is done
         return args.func(args)
     except SystemExit as exc:          # argparse: parse errors, --help, --version
         return int(exc.code or 0)

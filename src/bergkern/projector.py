@@ -325,13 +325,13 @@ def _probe_norms(proj: DiscreteProjector, fn: TestFunction, p_values) -> tuple:
 
 
 def lp_probe(weight, p_values, n_max: int = 40, radial_per_segment: int = 200,
-             angular: int | None = None, family=None, seed: int = 0):
+             angular: int | None = None, family=None):
     """Lower-bound probe of ||P||_{L^p(lam)}: max over the family of
     ||Pf||_p / ||f||_p.  A witness of boundedness only -- no claim of
     computing the true operator norm.  family is a list of
-    (name, TestFunction) pairs, default_family(n_max, seed) by default."""
+    (name, TestFunction) pairs, default_family(n_max) by default."""
     p_values = [_check_exponent(p) for p in p_values]
-    fam = _check_family(family if family is not None else default_family(n_max, seed))
+    fam = _check_family(family if family is not None else default_family(n_max))
     proj = build_projector(weight, n_max, radial_per_segment, angular)
     norms = [(name, *_probe_norms(proj, fn, p_values)) for name, fn in fam]
     results = []

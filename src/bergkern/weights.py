@@ -45,8 +45,8 @@ on the type:
   None for sampled and point-mass shapes, whose g_n is no such sum;
 * ``to_json()`` -- the definition-file object read by ``weight_from_json``.
 
-The one numerical route is ``radial_integral``: int_0^1 r^power lam^exponent
-dr by QUADPACK with the weight's breakpoints as break points.  It backs the
+The one numerical route is ``radial_integral``: int_0^1 r^power lam dr by
+QUADPACK with the weight's breakpoints as break points.  It backs the
 quadrature cross-check of the moments and the monomial norms of the
 inflated domain (``zeros.reinhardt_monomial_norm``).
 """
@@ -138,11 +138,11 @@ class StepWeight(_Weight):
         object.__setattr__(self, "_arrays", _frozen_arrays(bps, vals))
 
     @classmethod
-    def from_plateau(cls, inner_value: float, split: float, outer_value: float = 1.0) -> "StepWeight":
-        """Two-segment weight: ``inner_value`` on [0, split], ``outer_value`` beyond."""
+    def from_plateau(cls, inner_value: float, split: float) -> "StepWeight":
+        """Two-segment weight: ``inner_value`` on [0, split], 1 beyond."""
         if not (0.0 < split < 1.0):
             raise WeightError(f"split must lie in (0,1), got {split}")
-        return cls(breakpoints=(split, 1.0), values=(inner_value, outer_value))
+        return cls(breakpoints=(split, 1.0), values=(inner_value, 1.0))
 
     @property
     def comparability_constant(self) -> float:
@@ -338,8 +338,8 @@ class MomentTable:
 QUAD_LIMIT = 400    # subintervals quad may use; raised so each breakpoint interval can split once
 
 
-def radial_integral(weight, power: int, exponent: int = 1, tol: float = 1e-12):
-    """int_0^1 r^power lam(r)^exponent dr by QUADPACK's QAGP (``scipy.integrate.quad``).
+def radial_integral(weight, power: int, tol: float = 1e-12):
+    """int_0^1 r^power lam(r) dr by QUADPACK's QAGP (``scipy.integrate.quad``).
 
     The weight's interior breakpoints / sample knots are passed as break
     points, so no subinterval straddles a kink or jump.  Returns (value,
@@ -356,7 +356,7 @@ def radial_integral(weight, power: int, exponent: int = 1, tol: float = 1e-12):
     pts = [b for b in weight.breakpoints if 0.0 < b < 1.0]
 
     def integrand(r):
-        return r ** power * float(weight.evaluate(r)) ** exponent
+        return r ** power * float(weight.evaluate(r))
 
     val, err = quad(integrand, 0.0, 1.0, points=pts or None, epsabs=0.0,
                     epsrel=max(tol, 50.0 * np.finfo(float).eps),

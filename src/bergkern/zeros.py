@@ -246,15 +246,15 @@ class LocatedZero:
 class ZeroReport:
     weight_label: str
     rho: float                        # requested contour radius
-    rho_used: float                   # radius actually certified (after perturbation)
-    zero_count: int                   # zeros of F in |t| < rho_used, with multiplicity
+    rho_used: Optional[float]         # radius actually certified (after perturbation)
+    zero_count: Optional[int]         # zeros of F in |t| < rho_used, with multiplicity
     located_zeros: tuple
-    certified: bool
-    n_terms: int
-    min_contour_modulus: float        # proven lower bound of |(1-t)^2 P_N| on |t| = rho_used
-    tail: float
-    contour_samples: int              # FFT size m of the contour
-    diagnostics: str = ""
+    certified: bool                   # if False, every Optional field is None, no zeros
+    n_terms: Optional[int]
+    min_contour_modulus: Optional[float]  # proven lower bound of |(1-t)^2 P_N| on |t| = rho_used
+    tail: Optional[float]
+    contour_samples: Optional[int]    # FFT size m of the contour
+    diagnostics: str = ""             # uncertified: why the last contour attempt failed
 
 
 # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 24.2: a
@@ -363,8 +363,9 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
     transfers the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in
     the disc; nothing is subtracted since rho < 1).  A sampled minimum below
     that margin deepens the truncation.  If the contour passes too near a
-    zero, rho is nudged by multiples of 1e-3 before giving up and returning
-    an uncertified report.
+    zero, rho is nudged by multiples of 1e-3 before giving up; the report is
+    then uncertified and claims no count (see ``ZeroReport``), and its
+    diagnostics say why the last attempt failed.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
@@ -374,8 +375,6 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
         raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {kernel.MAX_TERMS}")
     label = weight.label()
     alpha0 = float(weight.alphas(0)[0])
-    best_diag = ""
-    best = None
     for offset in (0.0, 1e-3, -1e-3, 2e-3, -2e-3):
         rho_try = rho + offset
         if not 0.0 < rho_try < 1.0:
@@ -384,7 +383,7 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
             n = n_terms if n_terms is not None else terms_for_tolerance(
                 weight.alpha_bound, rho_try, 1e-4 * alpha0)
         except ToleranceError as exc:
-            best_diag = f"truncation selection failed at rho={rho_try}: {exc}"
+            last_note = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
         n = max(n, 8)
         while True:
@@ -404,22 +403,17 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
                                   contour_samples=samples, diagnostics="; ".join(notes))
             sampled = float(np.abs(values).min())
             if sampled > margin:
-                best_diag = (f"contour at rho={rho_try} came within {sampled:.3e} "
+                last_note = (f"contour at rho={rho_try} came within {sampled:.3e} "
                              f"of a zero ({samples} samples)")
                 break
-            if best is None or bound > best[0]:
-                best = (max(bound, 0.0), winding, n, tail, samples, rho_try)
             if n >= kernel.MAX_TERMS:
-                best_diag = (f"tail {tail:.3e} never cleared contour minimum {sampled:.3e} "
+                last_note = (f"tail {tail:.3e} never cleared contour minimum {sampled:.3e} "
                              f"at rho={rho_try} within {kernel.MAX_TERMS} terms")
                 break
             n = min(2 * n, kernel.MAX_TERMS)
-    min_mod, winding, n, tail, samples, rho_used = best or (0.0, 0, 0, math.inf, 0, rho)
-    return ZeroReport(weight_label=label, rho=rho, rho_used=rho_used, zero_count=winding,
-                      located_zeros=(), certified=False, n_terms=n,
-                      min_contour_modulus=min_mod, tail=tail, contour_samples=samples,
-                      diagnostics=best_diag or ("certification margin not met" if best
-                                                else "no contour attempt succeeded"))
+    return ZeroReport(weight_label=label, rho=rho, rho_used=None, zero_count=None,
+                      located_zeros=(), certified=False, n_terms=None, min_contour_modulus=None,
+                      tail=None, contour_samples=None, diagnostics=last_note)
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +555,17 @@ class InflationCheck:
 
 
 @lru_cache(maxsize=4096)
-def reinhardt_monomial_norm(weight, m: int, j: int) -> float:
-    """Squared norm of z^m w^j on the domain {z in D, |w|^2 < lam(z)}.
+def reinhardt_monomial_norm(weight, m: int) -> float:
+    """Squared norm of z^m on the domain {z in D, |w|^2 < lam(z)}.
 
     Integrating the fibre first gives
-        (pi/(j+1)) * int_D |z|^(2m) lam(z)^(j+1) dA(z),
+        pi * int_D |z|^(2m) lam(z) dA(z),
     a radial integral evaluated by ``weights.radial_integral`` (relative
     tolerance 1e-12).  That is the integrator the moment cross-check uses
     too; the identity check below stays independent, because its other side
     comes from the closed-form coefficient series, not from quadrature.
     """
-    return (math.pi / (j + 1)) * 2.0 * math.pi * radial_integral(weight, 2 * m + 1, j + 1)[0]
+    return math.pi * 2.0 * math.pi * radial_integral(weight, 2 * m + 1)[0]
 
 
 def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> InflationCheck:
@@ -586,10 +580,13 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
         raise ValueError("z and t must lie inside the unit disc")
     q = complex(z) * np.conj(complex(t))
     c = weight.alpha_bound
-    # terms are bounded by (c/pi^2)(m+1)|q|^m, so reuse the series tail rule
-    m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
-    lhs = complex(sum(q ** m / reinhardt_monomial_norm(weight, m, 0)
-                      for m in range(m_used + 1)))
-    rhs = kernel_eval(weight, complex(z), complex(t), tol=tol * 1e-2).value / math.pi
+    try:    # each series gets tol/100; a failure names the tol given
+        # terms are bounded by (c/pi^2)(m+1)|q|^m, so reuse the series tail rule
+        m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
+        lhs = complex(sum(q ** m / reinhardt_monomial_norm(weight, m)
+                          for m in range(m_used + 1)))
+        rhs = kernel_eval(weight, complex(z), complex(t), tol=tol * 1e-2).value / math.pi
+    except ToleranceError as exc:
+        raise ToleranceError(f"tol {tol:.3e} (tol/100 for each series) not reached: {exc}") from None
     diff = abs(lhs - rhs)
     return InflationCheck(lhs=lhs, rhs=rhs, abs_diff=diff, agree=diff <= tol, m_used=m_used)

@@ -1,7 +1,12 @@
 import argparse
+import ast
+import csv
+import importlib
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bergkern.acceptance
 import bergkern.cli
 from bergkern import StepWeight, mollify_weight, weight_to_json
 from bergkern.cli import build_parser, main, parse_complex, parse_range
@@ -222,7 +228,8 @@ def _assert_one_error_line(captured):
     (["moments", "--step", "18,0.25", "-N", "2", "--method", "quadrature", "--tol", "1e-16"],
      1, "at moment index 0"),
     (["inflate-check", "--weight", "constant1", "--z", "0.999999", "--t", "0.999999",
-      "--tol", "1e-12"], 1, "error: tail bound 2.049e+10 at 400000 terms exceeds tol 1.000e-14"),
+      "--tol", "1e-12"], 1, "error: tol 1.000e-12 (tol/100 for each series) not reached: "
+                            "tail bound 2.049e+10 at 400000 terms exceeds tol 1.000e-14"),
     (["find-zeros", "--step", "0,0.25", "--rho", "0.9"], 2, "error: --step: "),
     (["find-zeros", "--weight", "{missing}", "--rho", "0.9"], 2, "error: --weight: "),
     (["find-zeros", "--rho", "0.9"], 2, "error: one of --weight/--step is required"),
@@ -272,11 +279,25 @@ def test_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     _assert_one_error_line(captured)
     assert str(missing / "out.json") in captured.err
-    if argv[0] == "repro-all":      # its criterion lines print before the file is written
-        assert captured.out.endswith("SUMMARY: 1/1 criteria passed\n")
-    else:
-        assert captured.out == ""
+    assert captured.out == ""
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["repro-all"],
+    ["sweep", "--A", "1:40:0.5", "--x", "0.05:0.95:0.05", "--rho", "0.95"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+    monkeypatch.setattr(bergkern.acceptance, "run_all", no_work)
+    monkeypatch.setattr(bergkern.cli, "sweep_step_weights", no_work)
+    for out in (tmp_path / "missing" / "r.json", tmp_path):      # missing parent, a directory
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert str(out) in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_range_rejects_empty():
@@ -346,6 +367,30 @@ def test_find_zeros_plateau_locates(tmp_path):
     zero = payload["located_zeros"][0]
     assert zero["re"] == pytest.approx(-0.476874666838925, abs=1e-7)
     assert zero["im"] == 0.0
+
+
+UNCERTIFIED_NOTE = r"contour at rho=0\.993 came within \d\.\d{3}e-\d\d of a zero \(1048576 samples\)"
+
+
+def test_find_zeros_uncertified_prints_nulls(tmp_path):
+    # every contour of this steep plateau passes too near a zero to be certified
+    status, payload = run_json(["find-zeros", "--step", "1000000,0.95", "--rho", "0.995"],
+                               tmp_path)
+    assert status == 1 and payload["certified"] is False
+    assert [payload[key] for key in ("rho_used", "zero_count", "n_terms", "min_contour_modulus",
+                                     "tail_bound", "contour_samples")] == [None] * 6
+    assert payload["located_zeros"] == []
+    assert re.fullmatch(UNCERTIFIED_NOTE, payload["diagnostics"])
+
+
+def test_sweep_uncertified_cell_has_an_empty_count(capsys):
+    status, out = run(["sweep", "--A", "1000000:1000000:1", "--x", "0.9:0.95:0.05",
+                       "--rho", "0.995"], capsys)
+    assert status == 1
+    certified, uncertified = csv.reader(out.splitlines()[2:])
+    assert certified == ["1000000", "0.9", "0.995", "30", "True", ""]
+    assert uncertified[:5] == ["1000000", "0.95", "0.995", "", "False"]
+    assert re.fullmatch(UNCERTIFIED_NOTE, uncertified[5])
 
 
 def test_weight_file_equivalent_to_shorthand(tmp_path):
@@ -588,3 +633,48 @@ def test_schur_default_grid_is_fresh_on_every_call(tmp_path, monkeypatch):
     assert len(grids) == 2 and grids[0] is not grids[1]
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert len(grids[0]) == 100 and grids[0][-1] == pytest.approx(0.99)
+
+
+# --------------------------------------------------------------------------
+# names the benchmark harness uses
+# --------------------------------------------------------------------------
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of names and attributes, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def _bench_names():
+    """(module, name) pairs that bench/*.py imports, calls through or wraps."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bergkern"):
+                names.update((node.module, alias.name) for alias in node.names)
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain.startswith("bergkern.") and chain.count(".") == 2:
+                names.add(tuple(chain.rsplit(".", 1)))
+            if path.name == "spans.py" and isinstance(node, ast.Assign) \
+                    and [_dotted(t) for t in node.targets] == ["TARGETS"]:
+                names.update((f"bergkern.{row.elts[0].value}", row.elts[1].value)
+                             for row in node.value.elts)
+    return sorted(names)
+
+
+def test_names_the_benchmark_uses_exist():
+    # bench/ reaches the package by name; a name that is gone would otherwise
+    # show only as a failed benchmark run
+    names = _bench_names()
+    assert ("bergkern.cli", "main") in names and ("bergkern.zeros", "count_zeros_winding") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -244,7 +244,7 @@ def test_probe_antiholomorphic_ratio_zero(const1):
 
 
 def test_probe_default_family_reports_rows(step18):
-    res = lp_probe(step18, [2.0, 3.0], n_max=10, radial_per_segment=60, seed=0)
+    res = lp_probe(step18, [2.0, 3.0], n_max=10, radial_per_segment=60)
     assert len(res) == 2
     for r in res:
         assert r.max_ratio >= 1.0 - 1e-10      # monomials are in the family

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -360,7 +361,7 @@ def test_scale_invariance_of_verdicts():
     # f*lam has coefficients alpha_n/f, so zeros and verdicts stay put; its
     # comparability constant, and with it N and the Newton start, change
     for factor in (2.0 ** -7, 2.0 ** 7):
-        scaled = StepWeight.from_plateau(18.0 * factor, 0.25, factor)
+        scaled = StepWeight((0.25, 1.0), (18.0 * factor, factor))
         assert rouche_certificate(scaled, 0.01).holds
         assert not rouche_certificate(scaled, 0.05).holds
         rep = count_zeros_winding(scaled, 0.7)
@@ -386,6 +387,24 @@ def test_winding_grows_truncation_past_spurious_zeros(const1):
     rep = count_zeros_winding(const1, 0.894, n_terms=30, locate=False)
     assert rep.certified and rep.zero_count == 0
     assert rep.n_terms > 30
+
+
+UNPROVEN_FIELDS = ("rho_used", "zero_count", "n_terms", "min_contour_modulus", "tail",
+                   "contour_samples")
+
+
+@pytest.mark.parametrize("max_terms, rho, n_terms, note", [
+    (50, 0.99, None,
+     r"truncation selection failed at rho=0\.988: tail bound \S+ at 50 terms exceeds tol \S+"),
+    (16, 0.9, 8, r"tail \S+ never cleared contour minimum \S+ at rho=0\.898 within 16 terms"),
+], ids=["truncation-selection-failed", "tail-never-cleared"])
+def test_uncertified_report_claims_no_count(step18, monkeypatch, max_terms, rho, n_terms, note):
+    # every contour attempt fails, so the report carries no figure and names the last failure
+    monkeypatch.setattr(kernel, "MAX_TERMS", max_terms)
+    rep = count_zeros_winding(step18, rho, n_terms)
+    assert not rep.certified and rep.located_zeros == ()
+    assert [getattr(rep, f) for f in UNPROVEN_FIELDS] == [None] * 6
+    assert re.fullmatch(note, rep.diagnostics)
 
 
 def test_winding_rejects_bad_radius(step18):
@@ -612,9 +631,9 @@ def test_inflation_constant_closed_form(const1):
 
 
 def test_reinhardt_norm_constant_weight_exact():
-    # ||z^m w^j||^2 = (pi/(j+1)) * 2pi/(2m+2) for the unit weight
-    got = reinhardt_monomial_norm(ConstantWeight(1.0), 2, 3)
-    assert got == pytest.approx((PI / 4.0) * 2.0 * PI / 6.0, rel=1e-11)
+    # ||z^m||^2 = pi * 2pi/(2m+2) for the unit weight
+    got = reinhardt_monomial_norm(ConstantWeight(1.0), 2)
+    assert got == pytest.approx(PI * 2.0 * PI / 6.0, rel=1e-11)
 
 
 def test_inflation_rejects_outside_disc(step18):
