@@ -6,9 +6,9 @@ two coefficient conditions matter:
 * necessary: limsup |beta_n|/n finite,
 * sufficient: the difference sequence beta_n - beta_{n-1} bounded.
 
-For the kernel of a radial weight both are proven from the weight's outer
-tail.  (n+1) mu_n/pi = v_out + g_n with |g_n| <= G q^(n+1), so with v_out > 0
-and q < 1, alpha_n = (n+1)/(pi (v_out + g_n)) gives
+For the kernel of a radial weight both are proven from the weight's
+delta-tail: alpha_n = (n+1)/(pi v_out) + delta_n with v_out > 0 and
+sum |delta_n| finite (``weight.delta_tail``), so delta_n -> 0 and
 limsup alpha_n/n = lim (alpha_{n+1} - alpha_n) = 1/(pi v_out).
 ``coefficient_conditions`` reports that proof next to finite-range maxima
 over the computed coefficients.
@@ -38,7 +38,6 @@ import numpy as np
 @dataclass(frozen=True)
 class CoefficientConditions:
     """The coefficient conditions for a weight's kernel, in true units."""
-    proven: bool                  # the outer tail proves both conditions for all n
     limsup_estimate: float        # max alpha_n/n over the last half of n = 1..N
     sup_diff: float               # max |alpha_n - alpha_{n-1}| over n = 1..N
     sup_b: float                  # the same with b_0 = alpha_0 included
@@ -51,28 +50,32 @@ class CoefficientConditions:
 def coefficient_conditions(weight, n_max: int) -> CoefficientConditions:
     """Both coefficient conditions of the weight's kernel, from one ``weight.alphas(n_max)``.
 
-    ``proven`` holds when ``weight.outer_tail()`` gives v_out > 0 and q < 1:
-    then limsup alpha_n/n = lim (alpha_{n+1} - alpha_n) = 1/(pi v_out) (module
-    docstring), so the necessary condition holds and the differences are
-    bounded.  The other fields are maxima over the computed range.  For a weight
-    comparable to 1 each factor of the moment ratio is squeezed by C, giving
+    Both conditions hold for all n: every weight's constructor requires positive
+    values (so v_out > 0) and a last breakpoint or sample radius before 1 below 1
+    (so delta_n decays geometrically), which gives limsup alpha_n/n =
+    lim (alpha_{n+1} - alpha_n) = 1/(pi v_out) (module docstring).  The fields are
+    maxima over the computed range.  For a weight comparable to 1 each factor of
+    the moment ratio is squeezed by C, giving
         1/(C^3 pi) <= alpha_{n+1} - alpha_n <= C^3/pi,
-    which ``within_window`` checks on n < n_max.
+    which ``within_window`` checks on n < n_max; there is no window for a point
+    mass, which has no C, nor where C^3 overflows.
     """
     if n_max < 10:
         raise ValueError(f"need n_max >= 10 computed coefficients, got {n_max}")
     a = weight.alphas(n_max)
-    v_out, _, q = weight.outer_tail()
     ratios = a[1:] / np.arange(1, n_max + 1, dtype=float)
     diffs = np.diff(a)
     sup_diff = float(np.max(np.abs(diffs)))
     lo = hi = inside = None
-    c = getattr(weight, "comparability_constant", None)
-    if c is not None:
-        lo, hi = 1.0 / (c ** 3 * math.pi), c ** 3 / math.pi
+    c = weight.comparability_constant
+    try:
+        c3 = None if c is None else c ** 3      # Python floats raise on overflow
+    except OverflowError:
+        c3 = None
+    if c3 is not None:
+        lo, hi = 1.0 / (c3 * math.pi), c3 / math.pi
         inside = bool(np.all((diffs >= lo * (1 - 1e-12)) & (diffs <= hi * (1 + 1e-12))))
     return CoefficientConditions(
-        proven=bool(v_out > 0.0 and q < 1.0),
         limsup_estimate=float(np.max(ratios[len(ratios) // 2:])), sup_diff=sup_diff,
         sup_b=max(abs(float(a[0])), sup_diff), last_first_difference=float(diffs[-1]),
         window_low=lo, window_high=hi, within_window=inside)

@@ -24,7 +24,7 @@ Supported weight shapes:
   the origin; a singular measure, so it has no quadrature path and only
   the n=0 moment is modified.
 
-Every shape is constant (= v_out) on an outer annulus [r_hat, 1), and
+Every shape is constant (= ``v_out``) on an outer annulus [r_hat, 1), and
 ``alphas_closed_form`` applies one formula to all of them, for n up to
 ``MAX_TERMS``,
 
@@ -37,13 +37,16 @@ on the type:
   jump (none for a constant), one ``exp``/``expm1`` pair per sloped interval
   of a sampled weight, and mass/pi at n = 0 for the point mass;
 * ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
-  majorant (the comparability constant; 1 for the point mass);
-* ``outer_tail()`` -- (v_out, G, q) with |g_n| <= G*q^(n+1), q = r_hat^2;
+  majorant (the comparability constant; 1 for the point mass, which has none);
+* ``v_out``; ``delta_tail(n)`` -- a proven bound on sum_{m>=n} |alpha_m - (m+1)/(pi*v_out)|;
 * ``outer_tail_terms()`` -- the pairs (c_i, q_i) with g_n = sum c_i q_i^(n+1)
   exactly, each float within one rounding of its exact value: none for
   the constant, (v_i - v_{i+1}, b_i^2) over the nonzero jumps of a step;
   None for sampled and point-mass shapes, whose g_n is no such sum;
 * ``to_json()`` -- the definition-file object read by ``weight_from_json``.
+
+The constructors reject a value whose reciprocal overflows (C would be
+infinite) and an outer value whose pi-multiple overflows (it divides alpha_n).
 
 The one numerical route is ``radial_integral``: int_0^1 r^power lam dr by
 QUADPACK with the weight's breakpoints as break points.  It backs the
@@ -87,6 +90,15 @@ def _frozen_arrays(*columns):
     return arrays
 
 
+def _check_representable(values: tuple, name: str, outer_name: str):
+    """Raise WeightError unless 1/v is finite for every value and pi*v_out for the last."""
+    for v in values:
+        if 1.0 / v == math.inf:
+            raise WeightError(f"{name} {v!r} is too small: its reciprocal overflows")
+    if math.pi * values[-1] == math.inf:
+        raise WeightError(f"{outer_name} {values[-1]!r} is too large: pi times it overflows")
+
+
 def _normal_powers(exponents: np.ndarray, base):
     # how many leading exponents p keep base^p above 2^-1022; the rest, far inside the
     # |c|*O(u) error of a term c*base^p, are left at 0 (exp is ~100x slower on them)
@@ -98,12 +110,29 @@ class _Weight:
         return alphas_closed_form(self, n_max)
 
     @property
+    def v_out(self) -> float:
+        return self.values[-1]
+
+    @property
+    def comparability_constant(self) -> float:
+        return max(max(self.values), 1.0 / min(self.values))
+
+    @property
     def alpha_bound(self) -> float:
         # the moment sandwich of a function comparable to 1 gives alpha_n <= C*(n+1)/pi
         return self.comparability_constant
 
     def outer_tail_terms(self):     # None: g_n is no finite geometric sum
         return None
+
+    def delta_tail(self, n: int) -> float:
+        """Proven bound on sum_{m>=n} |delta_m|: delta_m = -alpha_m g_m/v_out with alpha_m <=
+        C(m+1)/pi and |g_m| <= G*q^(m+1) (``_geometric_bound``), summed in closed form."""
+        big_g, q = self._geometric_bound
+        if not (q > 0.0 and big_g > 0.0):
+            return 0.0
+        return (self.alpha_bound * big_g / (math.pi * self.v_out)) \
+            * q ** (n + 1) * ((n + 1) - n * q) / (1.0 - q) ** 2
 
 
 @dataclass(frozen=True)
@@ -134,6 +163,7 @@ class StepWeight(_Weight):
             raise WeightError("breakpoints must be strictly increasing and positive")
         if bps[-1] != 1.0:
             raise WeightError("last breakpoint must be 1")
+        _check_representable(vals, "segment value", "outer segment value")
         # evaluate's lookup tables, built once; not fields, so eq and hash ignore them
         object.__setattr__(self, "_arrays", _frozen_arrays(bps, vals))
 
@@ -143,10 +173,6 @@ class StepWeight(_Weight):
         if not (0.0 < split < 1.0):
             raise WeightError(f"split must lie in (0,1), got {split}")
         return cls(breakpoints=(split, 1.0), values=(inner_value, 1.0))
-
-    @property
-    def comparability_constant(self) -> float:
-        return max(max(self.values), 1.0 / min(self.values))
 
     def evaluate(self, r):
         bps, vals = self._arrays
@@ -171,10 +197,10 @@ class StepWeight(_Weight):
             g[:m] += c * np.exp(p[:m] * math.log(b))
         return g
 
-    def outer_tail(self):
-        if len(self.values) == 1:
-            return self.values[0], 0.0, 0.0
-        return self.values[-1], sum(abs(c) for c, _ in self._jumps()), self.breakpoints[-2] ** 2
+    @property
+    def _geometric_bound(self):     # G the jumps' total size, q the last interior breakpoint squared
+        q = self.breakpoints[-2] ** 2 if len(self.breakpoints) > 1 else 0.0
+        return sum(abs(c) for c, _ in self._jumps()), q
 
     def outer_tail_terms(self):
         return tuple((c, b * b) for c, b in self._jumps())
@@ -190,6 +216,7 @@ class ConstantWeight(StepWeight):
     def __init__(self, value: float = 1.0):
         if not (value > 0 and math.isfinite(value)):
             raise WeightError(f"constant weight must be positive, got {value}")
+        _check_representable((value,), "constant weight", "constant weight")
         super().__init__(breakpoints=(1.0,), values=(value,))
 
     @property
@@ -234,11 +261,8 @@ class SampledWeight(_Weight):
             raise WeightError("sample radii must lie in [0,1)")
         if any(not (v > 0 and math.isfinite(v)) for v in vv):
             raise WeightError("sample values must be strictly positive")
+        _check_representable(vv, "sample value", "last sample value")
         object.__setattr__(self, "_arrays", _frozen_arrays(rr, vv))
-
-    @property
-    def comparability_constant(self) -> float:
-        return max(max(self.values), 1.0 / min(self.values))
 
     @property
     def breakpoints(self):
@@ -262,10 +286,9 @@ class SampledWeight(_Weight):
                 g[:m] += s * np.exp(q[:m] * log_b) * np.expm1(q[:m] * -lr)
         return g / q
 
-    def outer_tail(self):
-        # |lam - v_out| <= max_i |v_i - v_out| on [0, r_last] and 0 beyond
-        v_out = self.values[-1]
-        return v_out, max(abs(v - v_out) for v in self.values), self.radii[-1] ** 2
+    @property
+    def _geometric_bound(self):     # |lam - v_out| <= G = max_i |v_i - v_out| on [0, r_last]
+        return max(abs(v - self.v_out) for v in self.values), self.radii[-1] ** 2
 
     def to_json(self) -> dict:
         return {"type": "sampled", "radii": list(self.radii), "values": list(self.values)}
@@ -280,6 +303,9 @@ class DiracAugmentedWeight(_Weight):
     """
 
     mass: float
+    v_out = 1.0                     # class attributes, not fields
+    comparability_constant = None
+    alpha_bound = 1.0   # the mass only lowers alpha_0 below 1/pi; every other alpha_n is (n+1)/pi
 
     def __post_init__(self):
         if not (self.mass >= 0 and math.isfinite(self.mass)):
@@ -288,18 +314,12 @@ class DiracAugmentedWeight(_Weight):
     def label(self) -> str:
         return f"dirac(1+{self.mass:g}*delta0)"
 
-    @property
-    def alpha_bound(self) -> float:
-        # the mass only lowers alpha_0 below 1/pi; every other alpha_n is (n+1)/pi
-        return 1.0
-
     def outer_g(self, n_max: int) -> np.ndarray:
         return np.concatenate([[self.mass / math.pi], np.zeros(n_max)])     # mu_0 = pi + mass
 
-    def outer_tail(self):
-        # alpha_n exact (n+1)/pi for n>=1; only g_0 = mass/pi is nonzero, and
-        # G*q = mass/pi meets it while G*q^(n+1) for n >= 1 is negligible.
-        return 1.0, self.mass * 2.0 ** 200 / math.pi, 2.0 ** -200
+    def delta_tail(self, n: int) -> float:     # delta_0 = 1/(pi+k) - 1/pi, delta_m = 0 for m >= 1
+        g = self.mass / math.pi                 # |delta_0| = g_0/(pi*(1+g_0)), g_0 = k/pi
+        return g / (math.pi * (1.0 + g)) if n <= 0 else 0.0
 
     def to_json(self) -> dict:
         return {"type": "dirac", "mass": self.mass}
@@ -406,7 +426,7 @@ def alphas_closed_form(weight, n_max: int) -> np.ndarray:
     """alpha_n = (n+1)/(pi*(v_out + g_n)) for n = 0..n_max, g_n from the weight's ``outer_g``."""
     if n_max > MAX_TERMS:
         raise ValueError(f"coefficient index {n_max} exceeds MAX_TERMS = {MAX_TERMS}")
-    return (_indices(n_max) + 1.0) / (math.pi * (weight.outer_tail()[0] + weight.outer_g(n_max)))
+    return (_indices(n_max) + 1.0) / (math.pi * (weight.v_out + weight.outer_g(n_max)))
 
 
 # ---------------------------------------------------------------------------

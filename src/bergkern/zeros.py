@@ -108,11 +108,9 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
     """Certified bound on sum_{k>=2} |alpha_k - 2 alpha_{k-1} + alpha_{k-2}|.
 
     The remainder past n_cutoff is bounded without any sign assumption:
-    with v_out the weight's outer value, delta_n = alpha_n - (n+1)/(pi*v_out)
-    decays geometrically (see the weight's ``outer_tail``) and second
-    differences of the linear part vanish, so
-        sum_{k>N} |d2_k| <= 4 * sum_{m>=N-1} |delta_m|,
-    an arithmetico-geometric series summed in closed form.
+    with v_out the weight's outer value, second differences of the linear
+    part (n+1)/(pi*v_out) of alpha_n vanish, so with delta_n the rest,
+        sum_{k>N} |d2_k| <= 4 * sum_{m>=N-1} |delta_m| <= 4 * weight.delta_tail(N-1).
 
     When the second differences are all <= 0, the partial sum telescopes to
     (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), which is also the more accurate
@@ -124,7 +122,7 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
 
     Explicit ``alphas`` (alpha_0..alpha_M, M >= n_cutoff) replace the weight's
     own coefficients.  They are not the weight's, so no sign is proven, and the
-    remainder's constant C becomes max(alpha_bound, max alpha_n*pi/(n+1)).
+    remainder scales from C = alpha_bound to max(alpha_bound, max alpha_n*pi/(n+1)).
     """
     if n_cutoff < 2:
         raise ValueError(f"need n_cutoff >= 2, got {n_cutoff}")
@@ -140,16 +138,14 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
     d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
     telescoped = (a[1] - a[0]) - (a[n_cutoff] - a[n_cutoff - 1])
 
-    v_out, big_g, q = weight.outer_tail()
+    v_out = weight.v_out
     signs, proven = (d2, False) if terms is None else _second_difference_signs(v_out, terms, n_cutoff)
     sign_certified = bool(np.all(proven))
     if not sign_certified:      # float signs, where d2 below rounding noise counts as negative
         signs = np.where(d2 < 16.0 * np.finfo(float).eps * float(a[-1]), -1.0, 1.0)
     all_negative, telescoping_valid = bool(np.all(signs < 0)), bool(np.all(signs <= 0))
-    remainder = 0.0
-    if q > 0.0 and big_g > 0.0:     # 4*K*sum_{m>=N-1}(m+1)q^(m+1) with K = C*G/(pi*v_out)
-        remainder = 4.0 * (c * big_g / (math.pi * v_out)) \
-            * q ** n_cutoff * (n_cutoff - (n_cutoff - 1) * q) / (1.0 - q) ** 2
+    # the bound is linear in C, which explicit coefficients may raise above alpha_bound
+    remainder = 4.0 * weight.delta_tail(n_cutoff - 1) * (c / weight.alpha_bound)
 
     # one-signed (in the <= 0 sense) second differences telescope exactly,
     # which also sidesteps the roundoff noise of the term-by-term |.| sum
@@ -313,8 +309,8 @@ def _newton_refine(weight, start: complex, residual_target: float):
         total = abs(fv.value) + fv.err_bound
         if total <= residual_target:
             return LocatedZero(location=t, residual=total, iterations=it - 1)
-        a = weight.alphas(fv.n_used)
-        deriv_coeffs = (a[1:] * np.arange(1, fv.n_used + 1)).astype(complex)
+        a = weight.alphas(max(fv.n_used, 1))      # F' needs alpha_1 even where F used alpha_0 alone
+        deriv_coeffs = (a[1:] * np.arange(1, len(a))).astype(complex)
         deriv = np.polynomial.polynomial.polyval(t, deriv_coeffs)
         if deriv == 0:
             return None

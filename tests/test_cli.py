@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import bergkern.acceptance
 import bergkern.cli
-from bergkern import StepWeight, mollify_weight, weight_to_json
+from bergkern import StepWeight, mollify_weight, schur_bound_check, weight_to_json
 from bergkern.cli import build_parser, main, parse_complex, parse_range
 
 PI = math.pi
@@ -300,6 +300,14 @@ def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("text", ["0:1:0", "0:1:-0.5", "1:0:-1", "0:1:inf", "0:1:nan"])
+def test_parse_range_rejects_a_step_that_is_not_positive(text, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="range step must be positive and finite"):
+        parse_range(text)
+    assert main(["sweep", "--A", text, "--x", "0.5:0.5:1"]) == 2
+    assert "range step must be positive and finite" in capsys.readouterr().err
+
+
 def test_parse_range_rejects_empty():
     with pytest.raises(Exception, match="empty range"):
         parse_range("5:1:1")
@@ -434,6 +442,20 @@ def test_sweep_certifies_extreme_plateaus(plateau, split, capsys):
     assert row[4] == "True" and int(row[3]) > 0 and row[5] == ""
 
 
+@pytest.mark.parametrize("sequence, name", [("ones", "ones"), ("alpha", "weight"), ("diff", "diff")])
+def test_schur_sequence_choices(sequence, name, tmp_path):
+    alphas = StepWeight.from_plateau(18.0, 0.25).alphas(50)
+    betas = {"ones": np.ones(51), "alpha": alphas, "diff": np.diff(alphas, prepend=0.0)}[sequence]
+    report = schur_bound_check(betas, -0.5, parse_range("0:0.9:0.3"))
+    out = tmp_path / "schur.csv"
+    status = main(["schur", "--step", "18,0.25", "--sequence", sequence, "--eps", "-0.5",
+                   "-N", "50", "--grid", "0:0.9:0.3", "--out", str(out)])
+    assert status == (0 if report.passes else 1)
+    lines = out.read_text().splitlines()
+    assert f"; sequence={name}; sup|beta|={report.sup_beta!r};" in lines[0]
+    assert [float(line.split(",")[1]) for line in lines[2:]] == list(report.ratios)
+
+
 def test_schur_csv(tmp_path):
     out = tmp_path / "schur.csv"
     status = main(["schur", "--weight", "constant1", "--eps", "-0.25",
@@ -461,6 +483,54 @@ def test_coeff_check_verdicts_are_proven(step, n, tmp_path):
     assert status == 0
     assert out["finite_trend"] is True and out["bounded_verdict"] is True
     assert "proven" in out["note"]
+
+
+_COMMANDS_WITH_A_WEIGHT = {
+    "kernel-eval": ["--z", "0.5", "--w", "0.3"],
+    "moments": ["-N", "5"],
+    "find-zeros": ["--rho", "0.9"],
+    "rouche": ["--eps", "0.01"],
+    "inflate-check": ["--z", "0.4", "--t", "0.3"],
+    "schur": ["--eps", "-0.5"],
+    "coeff-check": ["-N", "20"],
+    "lp-probe": ["-N", "4", "--radial", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS_WITH_A_WEIGHT))
+@pytest.mark.parametrize("weight_args, needle", [
+    (["--weight", "constant:1e-310"], "--weight: constant weight 1e-310 is too small: "
+                                      "its reciprocal overflows"),
+    (["--step", "1e-310,0.5"], "--step: segment value 1e-310 is too small"),
+    (["--weight", "constant:1e308"], "--weight: constant weight 1e+308 is too large: "
+                                     "pi times it overflows"),
+    (["--weight", "{step}"], "--weight: outer segment value 1e+308 is too large"),
+    (["--weight", "{sampled}"], "--weight: sample value 1e-310 is too small"),
+], ids=["constant-tiny", "step-tiny", "constant-huge", "step-huge-outer", "sampled-tiny"])
+def test_weights_without_float_coefficients_exit_2(command, weight_args, needle, tmp_path,
+                                                    capsys, recwarn):
+    files = {"step": {"type": "step", "segments": [[0.5, 2.0], [1.0, 1e308]]},
+             "sampled": {"type": "sampled", "radii": [0.0, 0.5], "values": [1e-310, 1.0]}}
+    for name, spec in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    weight_args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
+                   for a in weight_args]
+    assert main([command, *weight_args, *_COMMANDS_WITH_A_WEIGHT[command]]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert needle in captured.err and captured.out == ""
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("weight_args", [["--weight", "constant:1e103"],
+                                         ["--weight", "constant:1e-103"],
+                                         ["--step", "1e300,0.5"]], ids=lambda a: a[1])
+def test_coeff_check_has_no_window_where_c_cubed_overflows(weight_args, tmp_path):
+    status, out = run_json(["coeff-check", *weight_args, "-N", "20"], tmp_path)
+    assert status == 0
+    assert out["window_low"] is None and out["window_high"] is None
+    assert out["within_window"] is None
+    assert out["finite_trend"] is True and out["bounded_verdict"] is True
 
 
 def test_coeff_check_telescopes_to_n_max(tmp_path):
@@ -570,6 +640,18 @@ def test_repro_all_perturbation_too_small_to_flip_fails(capsys):
     status, out = run(["repro-all", "--only", "linear-root", "--perturb", "0.001"], capsys)
     assert status == 1
     assert "FAIL  criterion perturb" in out and "holds=True" in out
+
+
+def test_repro_all_out_holds_every_criterion(tmp_path, capsys):
+    status, payload = run_json(["repro-all", "--only", "dirac,linear-root", "--perturb", "0.1"],
+                               tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0 and lines[-1] == "SUMMARY: 3/3 criteria passed"
+    assert payload["units"] == bergkern.cli.TRUE_UNITS
+    results = bergkern.acceptance.run_all(only={"dirac", "linear-root"}, perturb=0.1)
+    assert payload["criteria"] == [{"id": r.cid, "name": r.name, "passed": r.passed,
+                                    "detail": r.detail} for r in results]
+    assert lines[:-1] == [r.line() for r in results]
 
 
 # --------------------------------------------------------------------------

@@ -24,13 +24,11 @@ def test_necessary_arithmetic_coefficients():
     expected = (window_start + 1) / (window_start * PI)
     assert chk.limsup_estimate == pytest.approx(expected, rel=1e-12)
     assert abs(chk.limsup_estimate - 1.0 / PI) < 0.01
-    assert chk.proven
 
 
 def test_necessary_plateau_coefficients_tend_to_inv_pi(step18):
     chk = coefficient_conditions(step18, 200)
     assert 1.0 / PI <= chk.limsup_estimate <= 1.02 / PI
-    assert chk.proven
 
 
 def test_necessary_needs_enough_terms(step18):
@@ -55,8 +53,11 @@ def test_conditions_come_from_one_coefficient_fetch(step18, monkeypatch):
 
 
 def test_point_mass_conditions_are_proven_without_a_window():
-    chk = coefficient_conditions(DiracAugmentedWeight(10.0), 50)
-    assert chk.proven
+    weight = DiracAugmentedWeight(10.0)
+    chk = coefficient_conditions(weight, 50)
+    # the delta-tail that proves both conditions: |delta_0| alone
+    assert weight.delta_tail(0) == pytest.approx(10.0 / (PI * (PI + 10.0)), rel=1e-15)
+    assert weight.delta_tail(1) == 0.0
     assert chk.window_low is None and chk.window_high is None and chk.within_window is None
     # alpha_n = (n+1)/pi for n >= 1, so every difference past the first is 1/pi
     assert chk.last_first_difference == pytest.approx(1.0 / PI, rel=1e-14)
@@ -75,13 +76,11 @@ def test_decompose_plateau_differences_tend_to_inv_pi(step18):
 def test_sufficient_constant_weight_differences_are_constant():
     chk = coefficient_conditions(ConstantWeight(1.0), 100)
     assert chk.sup_diff == pytest.approx(1.0 / PI, rel=1e-13)
-    assert chk.proven
     assert chk.within_window          # C = 1: window is exactly [1/pi, 1/pi] up to slack
 
 
 def test_sufficient_plateau_bounded_and_in_window(step18):
     chk = coefficient_conditions(step18, 500)
-    assert chk.proven
     assert chk.within_window
     c3 = 18.0 ** 3
     assert chk.window_low == pytest.approx(1.0 / (c3 * PI), rel=1e-14)

@@ -235,7 +235,7 @@ def test_step_outer_g_sums_the_tail_terms(weight):
     SampledWeight(radii=(0.2, 0.6), values=(0.5, 3.0)),
 ])
 def test_sampled_outer_g_matches_quadrature(weight):
-    v_out, big_g, q = weight.outer_tail()
+    v_out, (big_g, q) = weight.v_out, weight._geometric_bound
     knots = [r for r in weight.radii if r > 0.0]
     g = weight.outer_g(60)
     for n in (0, 1, 2, 5, 20, 60):
@@ -324,18 +324,40 @@ _any_weight = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(weight=_any_weight)
 def test_outer_tail_bounds_every_term(weight):
-    # alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1) for every n >= 0
-    v_out, big_g, q = weight.outer_tail()
+    # alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1) for every n >= 0,
+    # except for the point mass, whose only nonzero g_n is g_0 = mass/pi
     n = np.arange(201)
     g = weight.outer_g(200)
-    assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) * (1.0 + 1e-12))
-    assert np.array_equal(weight.alphas(200), (n + 1) / (PI * (v_out + g)))
+    if isinstance(weight, DiracAugmentedWeight):
+        assert g[0] == weight.mass / PI and not g[1:].any()
+    else:
+        big_g, q = weight._geometric_bound
+        assert np.all(np.abs(g) <= big_g * q ** (n + 1.0) * (1.0 + 1e-12))
+    assert np.array_equal(weight.alphas(200), (n + 1) / (PI * (weight.v_out + g)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight=_any_weight, n=st.integers(min_value=0, max_value=100))
+@example(weight=StepWeight.from_plateau(0.5, 0.6), n=0)      # fails for half the bound
+@example(weight=DiracAugmentedWeight(1e250), n=0)
+def test_delta_tail_bounds_the_coefficient_tail(weight, n):
+    # delta_m = alpha_m - (m+1)/(pi*v_out) = -(m+1) g_m/(pi v_out (v_out + g_m))
+    m = np.arange(n + 201)
+    g = weight.outer_g(n + 200)
+    v = weight.v_out
+    delta = np.abs(-(m + 1.0) * g / (PI * v * (v + g)))
+    tails = [weight.delta_tail(k) for k in range(n + 201)]
+    assert all(math.isfinite(t) for t in tails)
+    assert all(t1 <= t0 for t0, t1 in zip(tails, tails[1:]))
+    assert tails[n] * (1.0 + 1e-12) >= float(np.sum(delta[n:]))
+    if isinstance(weight, DiracAugmentedWeight):
+        assert tails[0] == delta[0] and not any(tails[1:])
 
 
 def test_outer_tail_terms_sum_to_g_exactly():
     # g_n = sum_i c_i q_i^(n+1) for steps: checked against the exact rationals
     weight = StepWeight(breakpoints=(0.25, 0.5, 0.75, 1.0), values=(18.0, 0.5, 0.5, 1.0))
-    v_out = weight.outer_tail()[0]
+    v_out = weight.v_out
     terms = weight.outer_tail_terms()
     assert terms == ((17.5, 0.0625), (-0.5, 0.5625))      # the zero jump at 0.5 is dropped
     for n in (0, 1, 7, 40):
@@ -459,7 +481,15 @@ def test_mollify_rejects_weights_that_are_not_steps(weight):
 @example(v=2.5)
 @example(v=1e-300)
 @example(v=1e300)
+@example(v=1e-310)     # its reciprocal overflows
+@example(v=1e308)      # pi times it overflows
 def test_constant_is_the_one_segment_step(v):
+    if not (math.isfinite(1.0 / v) and math.isfinite(PI * v)):
+        # no float coefficients: both forms reject the value
+        for make in (ConstantWeight, lambda v: StepWeight((1.0,), (v,))):
+            with pytest.raises(WeightError, match="overflows"):
+                make(v)
+        return
     const, step = ConstantWeight(v), StepWeight((1.0,), (v,))
     assert isinstance(const, StepWeight) and const.value == v
 
@@ -470,7 +500,9 @@ def test_constant_is_the_one_segment_step(v):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         assert same(const.alphas(60), step.alphas(60))
         assert same(const.outer_g(60), step.outer_g(60))
-        assert same(const.outer_tail(), step.outer_tail())
+        assert same(const.v_out, step.v_out)
+        assert same(const._geometric_bound, step._geometric_bound)
+        assert same([const.delta_tail(n) for n in (0, 1, 49)], [step.delta_tail(n) for n in (0, 1, 49)])
         assert const.outer_tail_terms() == step.outer_tail_terms() == ()
         r = np.array([0.0, 0.25, 0.5, 0.999, 1.0])
         assert same(const.evaluate(r), step.evaluate(r))

@@ -312,6 +312,76 @@ def test_locate_shortfall_is_reported(step18, monkeypatch):
     assert rep.diagnostics == "located 0 of 1 certified zeros"
 
 
+def test_singular_hankel_matrix_locates_nothing(step18, monkeypatch):
+    # with every derivative sample 0 the contour moments vanish: the Hankel matrix is singular
+    contour = zeros._contour
+
+    def flat_derivative(*args):
+        values, dvalues, winding, bound, m = contour(*args)
+        return values, np.zeros_like(dvalues), winding, bound, m
+
+    monkeypatch.setattr(zeros, "_contour", flat_derivative)
+    rep = count_zeros_winding(step18, 0.7)
+    assert rep.certified and rep.zero_count == 1
+    assert rep.located_zeros == ()
+    assert rep.diagnostics == "located 0 of 1 certified zeros"
+
+
+def test_huge_point_mass_zero_is_located():
+    # the zero sits so near t = 0 that F there needs alpha_0 alone; Newton's F' still
+    # takes alpha_1
+    mass = 1e50
+    rep = count_zeros_winding(DiracAugmentedWeight(mass), 0.99)
+    assert rep.certified and rep.zero_count == 1 and rep.diagnostics == ""
+    (zero,) = rep.located_zeros
+    exact = -(PI / mass) / (1.0 + math.sqrt(1.0 + PI / mass))
+    assert abs(zero.location - exact) <= 1e-12 * abs(exact)
+
+
+def _recorded_evaluations(monkeypatch, polynomial=None):
+    """Record the points where Newton evaluates F; with ``polynomial``, F is that
+    polynomial exactly, and the returned stand-in weight has it as coefficients."""
+    seen = []
+    evaluate = zeros.eval_diagonal
+
+    def recording(weight, t, tol):
+        seen.append(t)
+        if polynomial is None:
+            return evaluate(weight, t, tol=tol)
+        return kernel.KernelValue(value=complex(_polyval(t, polynomial)), err_bound=0.0,
+                                  n_used=len(polynomial) - 1)
+
+    monkeypatch.setattr(zeros, "eval_diagonal", recording)
+
+    class Coefficients:
+        def alphas(self, n):
+            return np.array(polynomial[:n + 1], dtype=float)
+
+    return seen, Coefficients()
+
+
+def test_newton_drops_a_start_that_leaves_the_disc(monkeypatch):
+    # F = 1/(pi(1-t)^2) has no zero, and Newton's t -> (3t-1)/2 runs off to -infinity
+    seen, _ = _recorded_evaluations(monkeypatch)
+    assert zeros._newton_refine(ConstantWeight(1.0), 0.5, 1e-9) is None
+    assert 1 < len(seen) < zeros.NEWTON_MAX_ITER
+    assert all(abs(t) < 0.999 for t in seen)
+
+
+def test_newton_drops_a_start_with_zero_derivative(monkeypatch):
+    # F = 1 + t^2 at t = 0: F' = 0 and F = 1
+    seen, weight = _recorded_evaluations(monkeypatch, [1.0, 0.0, 1.0])
+    assert zeros._newton_refine(weight, 0.0, 1e-9) is None
+    assert seen == [0.0]
+
+
+def test_newton_drops_a_start_after_its_step_budget(monkeypatch):
+    # F = 2 - 4t + 8t^3: Newton cycles exactly between 0 and 0.5
+    seen, weight = _recorded_evaluations(monkeypatch, [2.0, -4.0, 0.0, 8.0])
+    assert zeros._newton_refine(weight, 0.0, 1e-9) is None
+    assert seen == [0.0, 0.5] * (zeros.NEWTON_MAX_ITER // 2)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.floats(min_value=0.1, max_value=40.0), st.floats(min_value=0.05, max_value=0.95))
 def test_plateau_located_count_equals_certified_count(a, x):
@@ -509,12 +579,6 @@ def test_sweep_propagates_errors_other_than_weight_errors(monkeypatch):
     monkeypatch.setattr(zeros, "count_zeros_winding", broken)
     with pytest.raises(RuntimeError, match="counter bug"):
         sweep_step_weights([2.0], [0.5])
-
-
-def test_sweep_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("BERGKERN_THREADS", "1")
-    cells = sweep_step_weights([1.0], [0.3, 0.6], rho=0.5)
-    assert [c.split for c in cells] == [0.3, 0.6]
 
 
 # --------------------------------------------------------------------------
