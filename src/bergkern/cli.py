@@ -91,6 +91,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite(x: float):
+    """x, or None (printed as null) where it is not finite, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
@@ -132,8 +137,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_find_zeros(args) -> int:
     weight = resolve_weight(args)
-    report = count_zeros_winding(weight, args.rho,
-                                 n_terms=args.n_terms, locate=not args.no_locate)
+    report = count_zeros_winding(weight, args.rho, locate=not args.no_locate)
     emit_json({
         "weight": report.weight_label, "rho": report.rho, "rho_used": report.rho_used,
         "zero_count": report.zero_count, "certified": report.certified,
@@ -157,14 +161,14 @@ def _cmd_rouche(args) -> int:
         payload["auto_eps_best"] = best
         payload["auto_eps_table"] = [
             {"eps": e, "holds": c.holds, "min_L": c.min_l * factor,
-             "S_bound": c.s_bound * factor} for e, c in table]
+             "S_bound": _finite(c.s_bound * factor)} for e, c in table]
         cert = table[-1][1] if best is None else dict(table)[best]
     else:
         cert = rouche_certificate(weight, args.eps, n_cutoff=args.n_cutoff)
     payload.update({
         "epsilon": cert.epsilon, "ring_radius": cert.ring_radius,
         "linear_root": cert.linear_root,
-        "min_L": cert.min_l * factor, "S_bound": cert.s_bound * factor,
+        "min_L": cert.min_l * factor, "S_bound": _finite(cert.s_bound * factor),
         "holds": cert.holds,
         "second_differences_all_negative": cert.second_differences.all_negative,
         "sign_certified_exact": cert.second_differences.sign_certified,
@@ -255,7 +259,7 @@ def _cmd_coeff_check(args) -> int:
         "second_difference_all_negative": sd.all_negative,
         "sign_certified_exact": sd.sign_certified,
         "telescoped_value": sd.telescoped_value * factor,
-        "s_bound": sd.s_bound * factor,
+        "s_bound": _finite(sd.s_bound * factor),
         "first_difference_limit": sd.first_difference_limit * factor,
         "last_first_difference": cc.last_first_difference * factor,
         "note": COEFF_NOTE,
@@ -348,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("find-zeros", _cmd_find_zeros, "certified zero count inside |t| < rho")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--n-terms", type=int, default=None)
     p.add_argument("--no-locate", action="store_true")
 
     p = command("rouche", _cmd_rouche, "zero-existence certificate on |t| = 1-eps")

@@ -39,10 +39,10 @@ on the type:
 * ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
   majorant (the comparability constant; 1 for the point mass, which has none);
 * ``v_out``; ``delta_tail(n)`` -- a proven bound on sum_{m>=n} |alpha_m - (m+1)/(pi*v_out)|;
-* ``outer_tail_terms()`` -- the pairs (c_i, q_i) with g_n = sum c_i q_i^(n+1)
-  exactly, each float within one rounding of its exact value: none for
-  the constant, (v_i - v_{i+1}, b_i^2) over the nonzero jumps of a step;
-  None for sampled and point-mass shapes, whose g_n is no such sum;
+* ``second_difference_signs(n)`` -- the signs of alpha_k - 2 alpha_{k-1} + alpha_{k-2},
+  k = 2..n, and which of them are proven, or None where the shape has no proof:
+  a step proves them from its jumps with a running rounding-error bound (all 0
+  for a constant), the point mass exactly; sampled weights prove none;
 * ``to_json()`` -- the definition-file object read by ``weight_from_json``.
 
 The constructors reject a value whose reciprocal overflows (C would be
@@ -65,6 +65,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 MAX_TERMS = 400_000     # coefficient budget of every truncation and coefficient request
+_U = 0.5 * np.finfo(float).eps               # unit roundoff
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 class WeightError(ValueError):
@@ -99,6 +101,10 @@ def _check_representable(values: tuple, name: str, outer_name: str):
         raise WeightError(f"{outer_name} {values[-1]!r} is too large: pi times it overflows")
 
 
+def _gamma(m):      # Higham's gamma_m = m u / (1 - m u), the relative error of m roundings
+    return m * _U / (1.0 - m * _U)
+
+
 def _normal_powers(exponents: np.ndarray, base):
     # how many leading exponents p keep base^p above 2^-1022; the rest, far inside the
     # |c|*O(u) error of a term c*base^p, are left at 0 (exp is ~100x slower on them)
@@ -122,7 +128,7 @@ class _Weight:
         # the moment sandwich of a function comparable to 1 gives alpha_n <= C*(n+1)/pi
         return self.comparability_constant
 
-    def outer_tail_terms(self):     # None: g_n is no finite geometric sum
+    def second_difference_signs(self, n_cutoff: int):     # None: no proof for this shape
         return None
 
     def delta_tail(self, n: int) -> float:
@@ -202,8 +208,44 @@ class StepWeight(_Weight):
         q = self.breakpoints[-2] ** 2 if len(self.breakpoints) > 1 else 0.0
         return sum(abs(c) for c, _ in self._jumps()), q
 
-    def outer_tail_terms(self):
-        return tuple((c, b * b) for c, b in self._jumps())
+    def second_difference_signs(self, n_cutoff: int):
+        """(signs, proven) of d2_k = alpha_k - 2 alpha_{k-1} + alpha_{k-2}, k = 2..n_cutoff.
+
+        With (c_i, q_i) = (v_i - v_{i+1}, b_i^2) per jump, g_n = sum c_i q_i^(n+1), Q = max q_i,
+        h_n = sum c_i (q_i/Q)^(n+1) / (v_out + g_n) and alpha_n pi = (n+1)/(v_out + g_n),
+        pi d2_k = -(Q^(k-1)/v_out) D_k, D_k = (k+1) Q^2 h_k - 2k Q h_{k-1} + (k-1) h_{k-2}: the
+        linear part, whose second differences cancel, drops out and nothing underflows.
+        D_k carries a running error bound (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., ch. 3): c_i, q_i within one rounding, q_i/Q gamma_3, the powers
+        (q_i/Q)^(n+1) gamma_(4n+3) and Q^(n+1) gamma_(2n+1) (cumulative products), and one
+        subnormal spacing per product that may underflow.  It is first order in gammas below
+        2e-10, so a sign counts as proven where |D_k| exceeds twice it.  Without jumps every
+        d2_k is exactly 0.
+        """
+        terms, v_out = tuple((c, b * b) for c, b in self._jumps()), self.v_out
+        if not terms:
+            return np.zeros(n_cutoff - 1), np.ones(n_cutoff - 1, dtype=bool)
+        c, q = (np.array(col) for col in zip(*terms))
+        top, n = float(q.max()), np.arange(n_cutoff + 1.0)
+        with np.errstate(all="ignore"):     # an inf or nan bound leaves its sign unproven
+            powers = np.cumprod(np.tile(q / top, (n_cutoff + 1, 1)), axis=0)    # (q_i/Q)^(n+1)
+            qpow = np.cumprod(np.full(n_cutoff + 1, top))                         # Q^(n+1)
+            tail = powers @ c
+            e_tail = (_gamma(4.0 * n + len(c) + 5.0) * (powers @ np.abs(c))
+                      + len(c) * (n + 2.0) * _TINY * (1.0 + np.abs(c).max()))
+            den = v_out + qpow * tail
+            e_den = (qpow * e_tail + _gamma(2.0 * n + 4.0) * qpow * np.abs(tail) + _U * np.abs(den)
+                     + (n + 2.0) * _TINY * (1.0 + np.abs(tail)))
+            h = tail / den
+            e_h = np.where(den > e_den, (e_tail + np.abs(h) * e_den) / (den - e_den), np.inf) \
+                + _U * np.abs(h) + _TINY
+            k = n[2:]
+            parts = ((k + 1.0) * (top * top) * h[2:], 2.0 * k * top * h[1:-1], (k - 1.0) * h[:-2])
+            bound = (_gamma(7) * sum(np.abs(t) for t in parts) + (k + 1.0) * (top * top) * e_h[2:]
+                     + 2.0 * k * top * e_h[1:-1] + (k - 1.0) * e_h[:-2] + 3.0 * _TINY)
+            d = parts[0] - parts[1] + parts[2]
+            # b_i^2 or Q^2 below 2^-500 may be subnormal, where relative bounds fail
+            return -np.sign(d), (np.abs(d) > 2.0 * bound) & (q.min() >= 2.0 ** -500)
 
     def to_json(self) -> dict:
         segments = [[b, v] for b, v in zip(self.breakpoints, self.values)]
@@ -320,6 +362,12 @@ class DiracAugmentedWeight(_Weight):
     def delta_tail(self, n: int) -> float:     # delta_0 = 1/(pi+k) - 1/pi, delta_m = 0 for m >= 1
         g = self.mass / math.pi                 # |delta_0| = g_0/(pi*(1+g_0)), g_0 = k/pi
         return g / (math.pi * (1.0 + g)) if n <= 0 else 0.0
+
+    def second_difference_signs(self, n_cutoff: int):
+        # alpha_0 = 1/(pi+k), alpha_n = (n+1)/pi for n >= 1: d2_2 = 1/(pi+k) - 1/pi, later d2_k = 0
+        signs = np.zeros(n_cutoff - 1)
+        signs[0] = -1.0 if self.mass > 0.0 else 0.0
+        return signs, np.ones(n_cutoff - 1, dtype=bool)
 
     def to_json(self) -> dict:
         return {"type": "dirac", "mass": self.mass}

@@ -37,10 +37,7 @@ import numpy as np
 from . import kernel
 from .kernel import (ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, tail_bound,
                      terms_for_tolerance)
-from .weights import SampledWeight, StepWeight, WeightError, radial_integral
-
-_U = 0.5 * np.finfo(float).eps               # unit roundoff
-_TINY = float(np.finfo(float).smallest_subnormal)
+from .weights import _U, SampledWeight, StepWeight, WeightError, radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -50,58 +47,15 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 @dataclass(frozen=True)
 class SecondDifferenceSummary:
     n_cutoff: int
-    partial_sum: float           # sum_{k=2..n_cutoff} |alpha_k - 2 alpha_{k-1} + alpha_{k-2}|
+    partial_sum: float           # float sum_{k=2..n_cutoff} |alpha_k - 2 alpha_{k-1} + alpha_{k-2}|
     telescoped_value: float      # (alpha_1-alpha_0) - (alpha_N - alpha_{N-1})
     remainder_bound: float       # certified bound on the k > n_cutoff tail
     s_bound: float               # certified upper bound on the full series sum
     all_negative: bool
-    sign_certified: bool         # True when every sign up to n_cutoff is proven from the weight data
+    sign_certified: bool         # True when the weight proves every sign up to n_cutoff
     first_difference_limit: float  # lim_k (alpha_k - alpha_{k-1}) = 1/(pi * outer value)
     alpha_0: float               # alpha_0 and alpha_1 of the same coefficients, which give
     alpha_1: float               # the affine part of the Rouche split
-
-
-def _gamma(m):      # Higham's gamma_m = m u / (1 - m u), the relative error of m roundings
-    return m * _U / (1.0 - m * _U)
-
-
-def _second_difference_signs(v_out: float, terms, n_cutoff: int):
-    """Signs of d2_k = alpha_k - 2 alpha_{k-1} + alpha_{k-2}, k = 2..n_cutoff, and which are proven.
-
-    With g_n = sum c_i q_i^(n+1) (``outer_tail_terms``), Q = max q_i and
-    h_n = sum c_i (q_i/Q)^(n+1) / (v_out + g_n), alpha_n pi = (n+1)/(v_out + g_n) gives
-    pi d2_k = -(Q^(k-1)/v_out) D_k, D_k = (k+1) Q^2 h_k - 2k Q h_{k-1} + (k-1) h_{k-2}: the
-    linear part, whose second differences cancel, drops out and nothing underflows.
-    D_k carries a running error bound (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3): c_i, q_i within one rounding, q_i/Q gamma_3, the powers
-    (q_i/Q)^(n+1) gamma_(4n+3) and Q^(n+1) gamma_(2n+1) (cumulative products), and one
-    subnormal spacing per product that may underflow.  It is first order in gammas below
-    2e-10, so a sign counts as proven where |D_k| exceeds twice it.  Without terms every
-    d2_k is exactly 0.
-    """
-    if not terms:
-        return np.zeros(n_cutoff - 1), np.ones(n_cutoff - 1, dtype=bool)
-    c, q = (np.array(col) for col in zip(*terms))
-    top, n = float(q.max()), np.arange(n_cutoff + 1.0)
-    with np.errstate(all="ignore"):     # an inf or nan bound leaves its sign unproven
-        powers = np.cumprod(np.tile(q / top, (n_cutoff + 1, 1)), axis=0)    # (q_i/Q)^(n+1)
-        qpow = np.cumprod(np.full(n_cutoff + 1, top))                         # Q^(n+1)
-        tail = powers @ c
-        e_tail = (_gamma(4.0 * n + len(c) + 5.0) * (powers @ np.abs(c))
-                  + len(c) * (n + 2.0) * _TINY * (1.0 + np.abs(c).max()))
-        den = v_out + qpow * tail
-        e_den = (qpow * e_tail + _gamma(2.0 * n + 4.0) * qpow * np.abs(tail) + _U * np.abs(den)
-                 + (n + 2.0) * _TINY * (1.0 + np.abs(tail)))
-        h = tail / den
-        e_h = np.where(den > e_den, (e_tail + np.abs(h) * e_den) / (den - e_den), np.inf) \
-            + _U * np.abs(h) + _TINY
-        k = n[2:]
-        parts = ((k + 1.0) * (top * top) * h[2:], 2.0 * k * top * h[1:-1], (k - 1.0) * h[:-2])
-        bound = (_gamma(7) * sum(np.abs(t) for t in parts) + (k + 1.0) * (top * top) * e_h[2:]
-                 + 2.0 * k * top * e_h[1:-1] + (k - 1.0) * e_h[:-2] + 3.0 * _TINY)
-        d = parts[0] - parts[1] + parts[2]
-        # b_i^2 or Q^2 below 2^-500 may be subnormal, where relative bounds fail
-        return -np.sign(d), (np.abs(d) > 2.0 * bound) & (q.min() >= 2.0 ** -500)
 
 
 def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDifferenceSummary:
@@ -112,13 +66,14 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
     part (n+1)/(pi*v_out) of alpha_n vanish, so with delta_n the rest,
         sum_{k>N} |d2_k| <= 4 * sum_{m>=N-1} |delta_m| <= 4 * weight.delta_tail(N-1).
 
-    When the second differences are all <= 0, the partial sum telescopes to
-    (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), which is also the more accurate
-    value to report.  For weights with ``outer_tail_terms`` (constants and
-    steps) every sign up to n_cutoff is proven from the float weight data
-    (``_second_difference_signs``), and that decides ``all_negative`` and the
-    telescoping.  Otherwise, or if some sign stays undecided, the float signs
-    decide and ``sign_certified`` is False.
+    The partial sum up to n_cutoff follows the signs the weight proves
+    (``weight.second_difference_signs``: steps and constants, point masses).
+    When every sign is proven <= 0 it telescopes to
+    (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}), the more accurate value to
+    report, and when every sign is proven 0 it is exactly 0.  Otherwise (a
+    positive or unproven sign, or a sampled weight, which proves none) the
+    |d2_k| are summed term by term.  ``all_negative`` holds only when every
+    sign is proven < 0, and ``sign_certified`` when every sign is proven.
 
     Explicit ``alphas`` (alpha_0..alpha_M, M >= n_cutoff) replace the weight's
     own coefficients.  They are not the weight's, so no sign is proven, and the
@@ -128,34 +83,34 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
         raise ValueError(f"need n_cutoff >= 2, got {n_cutoff}")
     c = weight.alpha_bound
     if alphas is None:
-        a, terms = weight.alphas(n_cutoff), weight.outer_tail_terms()
+        a, proof = weight.alphas(n_cutoff), weight.second_difference_signs(n_cutoff)
     else:
         given = np.asarray(alphas, dtype=float)
         if len(given) < n_cutoff + 1:
             raise ValueError(f"{len(given)} explicit coefficients do not reach alpha_{n_cutoff}")
         c = max(c, float(np.max(given * math.pi / (np.arange(len(given)) + 1.0))))
-        a, terms = given[:n_cutoff + 1], None
+        a, proof = given[:n_cutoff + 1], None
     d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
     telescoped = (a[1] - a[0]) - (a[n_cutoff] - a[n_cutoff - 1])
 
-    v_out = weight.v_out
-    signs, proven = (d2, False) if terms is None else _second_difference_signs(v_out, terms, n_cutoff)
+    signs, proven = proof or (None, False)
     sign_certified = bool(np.all(proven))
-    if not sign_certified:      # float signs, where d2 below rounding noise counts as negative
-        signs = np.where(d2 < 16.0 * np.finfo(float).eps * float(a[-1]), -1.0, 1.0)
-    all_negative, telescoping_valid = bool(np.all(signs < 0)), bool(np.all(signs <= 0))
+    all_negative = sign_certified and bool(np.all(signs < 0))
     # the bound is linear in C, which explicit coefficients may raise above alpha_bound
     remainder = 4.0 * weight.delta_tail(n_cutoff - 1) * (c / weight.alpha_bound)
 
-    # one-signed (in the <= 0 sense) second differences telescope exactly,
-    # which also sidesteps the roundoff noise of the term-by-term |.| sum
-    abs_sum = float(np.sum(np.abs(d2)))
-    partial = float(telescoped) if telescoping_valid else abs_sum
+    # proven one-signed (in the <= 0 sense) second differences telescope exactly, which
+    # also sidesteps the roundoff noise of the term-by-term |.| sum (a sum of |.| is never
+    # below 0, which the rounded telescoped value can be); proven zeros sum to exactly 0
+    abs_sum = partial = float(np.sum(np.abs(d2)))
+    if sign_certified and not np.any(signs > 0):
+        partial = max(float(telescoped), 0.0) if np.any(signs) else 0.0
     return SecondDifferenceSummary(
         n_cutoff=n_cutoff, partial_sum=abs_sum, telescoped_value=float(telescoped),
         remainder_bound=float(remainder), s_bound=partial + float(remainder),
         all_negative=all_negative, sign_certified=sign_certified,
-        first_difference_limit=1.0 / (math.pi * v_out), alpha_0=float(a[0]), alpha_1=float(a[1]))
+        first_difference_limit=1.0 / (math.pi * weight.v_out),
+        alpha_0=float(a[0]), alpha_1=float(a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +304,12 @@ def _locate_zeros(weight, values: np.ndarray, dvalues: np.ndarray, rho: float,
     return tuple(found)
 
 
-def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
-                        locate: bool = True) -> ZeroReport:
+def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroReport:
     """Certified zero count of F in |t| < rho via the argument principle.
 
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
-    the contour; certification requires the proven lower bound of its modulus
+    the contour, N first where the series tail at rho falls below 1e-4 alpha_0
+    (``terms_for_tolerance``); certification requires the proven lower bound of its modulus
     there to exceed tail_bound(rho, N) * (1+rho)^2, in which case Rouche
     transfers the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in
     the disc; nothing is subtracted since rho < 1).  A sampled minimum below
@@ -365,10 +320,6 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    if n_terms is not None and n_terms < 0:
-        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
-    if n_terms is not None and n_terms > kernel.MAX_TERMS:
-        raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {kernel.MAX_TERMS}")
     label = weight.label()
     alpha0 = float(weight.alphas(0)[0])
     for offset in (0.0, 1e-3, -1e-3, 2e-3, -2e-3):
@@ -376,8 +327,7 @@ def count_zeros_winding(weight, rho: float, n_terms: Optional[int] = None, *,
         if not 0.0 < rho_try < 1.0:
             continue
         try:
-            n = n_terms if n_terms is not None else terms_for_tolerance(
-                weight.alpha_bound, rho_try, 1e-4 * alpha0)
+            n = terms_for_tolerance(weight.alpha_bound, rho_try, 1e-4 * alpha0)
         except ToleranceError as exc:
             last_note = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
@@ -525,14 +475,17 @@ def dirac_zero_threshold(mass: float) -> DiracZeroResult:
 
     Solving F_k(t) = 0 gives (1-t)^2 = 1 + pi/k, whose disc-side root is
     t = 1 - sqrt(1 + pi/k); it lies inside the unit disc exactly when
-    k > pi/3 (at k = pi/3 the root sits on the boundary at t = -1).
+    k > pi/3 (at k = pi/3 the root sits on the boundary at t = -1).  With
+    s = sqrt(pi/k) it is computed as -s * s/(1 + hypot(1, s)), which neither
+    cancels for large k nor overflows (s^2 would) for subnormal k.
     """
     if not 0.0 <= mass < math.inf:     # also rejects nan
         raise ValueError(f"mass must be finite and >= 0, got {mass}")
     if mass == 0.0:
         return DiracZeroResult(mass=0.0, threshold=DIRAC_THRESHOLD,
                                has_zero_in_disc=False, zero_location=None)
-    loc = 1.0 - math.sqrt(1.0 + math.pi / mass)
+    s = math.sqrt(math.pi) / math.sqrt(mass)
+    loc = -s * (s / (1.0 + math.hypot(1.0, s)))
     return DiracZeroResult(mass=mass, threshold=DIRAC_THRESHOLD,
                            has_zero_in_disc=mass > DIRAC_THRESHOLD, zero_location=loc)
 

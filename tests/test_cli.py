@@ -12,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,11 +85,10 @@ def test_bad_input_exits_2_with_message(argv, capsys):
     ["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "100000000"],
     ["lp-probe", "--step", "18,0.25", "-N", "100000000"],
     ["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "3000", "--angular", "20"],
-    ["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--n-terms", "1000000000"],
     ["coeff-check", "--step", "18,0.25", "-N", "1000000000"],
     ["schur", "--step", "18,0.25", "--eps", "-0.5", "-N", "1000000000"],
     ["moments", "--step", "18,0.25", "-N", "1000000000"],
-], ids=["lp-angular", "lp-radial", "lp-degree", "lp-gauss-rule", "find-zeros-terms",
+], ids=["lp-angular", "lp-radial", "lp-degree", "lp-gauss-rule",
         "coeff-check-terms", "schur-terms", "moments-terms"])
 def test_oversized_input_exits_2_before_allocating(argv, capsys):
     tracemalloc.start()
@@ -160,7 +160,6 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["moments", "--weight", "{file}", "-N", "3"], _NAN_STEP),
     (["rouche", "--weight", "{file}", "--eps", "0.01"], _NAN_STEP),
     (["find-zeros", "--weight", "{file}", "--rho", "0.9"], _NAN_STEP),
-    (["find-zeros", "--step", "3,0.5", "--rho", "0.9", "--n-terms", "-5"], None),
     (["dirac", "--k", "nan"], None),
     (["dirac", "--k", "inf"], None),
     (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "1.5"], None),
@@ -191,7 +190,7 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "sweep-empty-range", "schur-empty-grid", "sweep-huge-range", "schur-huge-grid",
         "sweep-huge-grid", "sweep-infinite-range", "moments-nan-radius", "rouche-nan-radius",
         "find-zeros-nan-radius", "moments-nan-breakpoint", "rouche-nan-breakpoint",
-        "find-zeros-nan-breakpoint", "find-zeros-negative-terms", "dirac-nan-mass",
+        "find-zeros-nan-breakpoint", "dirac-nan-mass",
         "dirac-infinite-mass", "sweep-rho-above-1", "sweep-rho-nan", "sweep-rho-0",
         "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
         "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
@@ -351,6 +350,61 @@ def test_rouche_auto_eps(tmp_path):
     assert status == 0
     assert 0.001 <= payload["auto_eps_best"] <= 0.03
     assert any(row["holds"] for row in payload["auto_eps_table"])
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rouche", "--step", "1e300,0.5", "--eps", "0.01"],
+    ["rouche", "--step", "1e300,0.5"],
+    ["coeff-check", "--step", "1e300,0.5", "-N", "20"],
+    ["dirac", "--k", "1e-310"],
+    ["dirac", "--k", "1e17"],
+    ["dirac", "--k", "1e300"],
+    ["find-zeros", "--weight", "{point_mass}", "--rho", "0.9"],
+    ["kernel-eval", "--weight", "{point_mass}", "--z", "0.5", "--w", "0.3"],
+], ids=["rouche-huge-plateau", "rouche-auto-huge-plateau", "coeff-check-huge-plateau",
+        "dirac-subnormal", "dirac-1e17", "dirac-1e300", "find-zeros-huge-point-mass",
+        "kernel-eval-huge-point-mass"])
+def test_json_output_is_strict_json(argv, tmp_path, capsys):
+    point_mass = tmp_path / "mass.json"
+    point_mass.write_text(json.dumps({"type": "dirac", "mass": 1e300}))
+    assert main([a.format(point_mass=point_mass) for a in argv]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    if argv[0] == "rouche":       # C*G overflows the delta-tail: no finite bound, no certificate
+        assert payload["S_bound"] is None and payload["holds"] is False
+        assert all(row["S_bound"] is None for row in payload.get("auto_eps_table", []))
+    if argv[0] == "coeff-check":
+        assert payload["s_bound"] is None
+
+
+@pytest.mark.parametrize("k", ["1e-310", "1e-300", "0.5", "10", "1e17", "1e300"])
+def test_dirac_zero_location_is_accurate_at_every_scale(k, tmp_path):
+    # the root -(pi/k)/(1 + sqrt(1 + pi/k)) of (1-t)^2 = 1 + pi/k, to 50 digits
+    _, payload = run_json(["dirac", "--k", k], tmp_path)
+    with mpmath.workdps(50):
+        r = mpmath.pi / mpmath.mpf(float(k))      # the float the CLI reads, subnormal or not
+        exact = -r / (1 + mpmath.sqrt(1 + r))
+        assert abs((payload["zero_location"] - exact) / exact) <= 1e-15
+
+
+def test_constant_second_difference_bound_is_zero(tmp_path):
+    for weight in ("constant1", "constant:0.25", "constant:2.5"):
+        _, coeff = run_json(["coeff-check", "--weight", weight, "-N", "300"], tmp_path)
+        _, rouche = run_json(["rouche", "--weight", weight], tmp_path)
+        assert coeff["s_bound"] == 0.0 and coeff["sign_certified_exact"] is True
+        assert rouche["S_bound"] == 0.0
+        assert all(row["S_bound"] == 0.0 for row in rouche["auto_eps_table"])
+
+
+def test_find_zeros_has_no_truncation_option(capsys):
+    assert main(["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--n-terms", "50"]) == 2
+    assert "unrecognized arguments: --n-terms" in capsys.readouterr().err
 
 
 def test_dirac_below_threshold(tmp_path):

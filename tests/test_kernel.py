@@ -181,8 +181,11 @@ def test_explicit_coefficients_have_a_fixed_budget(step18):
 
 def test_explicit_coefficients_keep_the_weight_bound(step18):
     # the weight's own coefficients, given explicitly: C stays alpha_bound = 18
-    sd = second_difference_bound(step18, 50, alphas=step18.alphas(50))
+    a = step18.alphas(50)
+    sd = second_difference_bound(step18, 50, alphas=a)
     own = second_difference_bound(step18, 50)
     assert step18.alpha_bound == 18.0
     assert sd.remainder_bound == own.remainder_bound > 0.0
-    assert sd.s_bound == own.s_bound
+    # explicit coefficients prove no sign, so their |d2_k| are summed term by term, which
+    # differs from the weight's telescoped sum by rounding: a few u of each alpha_k
+    assert abs(sd.s_bound - own.s_bound) <= 16.0 * np.finfo(float).eps * float(np.sum(a))

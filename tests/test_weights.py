@@ -221,7 +221,7 @@ def test_alphas_match_50_digit_reference(weight):
 ])
 def test_step_outer_g_sums_the_tail_terms(weight):
     # dyadic breakpoints, so every q_i = b_i^2 is exact and sum c_i q_i^(n+1) is g_n exactly
-    terms = weight.outer_tail_terms()
+    terms = [(c, b * b) for c, b in weight._jumps()]
     g = weight.outer_g(2500)
     scale = 4.0 * U * sum(abs(c) for c, _ in terms)
     for n in (0, 1, 2, 3, 7, 40, 100, 1000, 2500):
@@ -358,13 +358,13 @@ def test_outer_tail_terms_sum_to_g_exactly():
     # g_n = sum_i c_i q_i^(n+1) for steps: checked against the exact rationals
     weight = StepWeight(breakpoints=(0.25, 0.5, 0.75, 1.0), values=(18.0, 0.5, 0.5, 1.0))
     v_out = weight.v_out
-    terms = weight.outer_tail_terms()
-    assert terms == ((17.5, 0.0625), (-0.5, 0.5625))      # the zero jump at 0.5 is dropped
+    terms = [(c, b * b) for c, b in weight._jumps()]
+    assert terms == [(17.5, 0.0625), (-0.5, 0.5625)]      # the zero jump at 0.5 is dropped
     for n in (0, 1, 7, 40):
         g = sum(Fraction(c) * Fraction(q) ** (n + 1) for c, q in terms)
         assert (n + 1) / (Fraction(v_out) + g) == step_alpha_pi_fraction(weight, n)
-    assert ConstantWeight(2.5).outer_tail_terms() == ()
-    assert StepWeight(breakpoints=(1.0,), values=(3.0,)).outer_tail_terms() == ()
+    assert ConstantWeight(2.5)._jumps() == []
+    assert StepWeight(breakpoints=(1.0,), values=(3.0,))._jumps() == []
 
 
 def test_evaluate_tables_leave_equality_and_hashing_alone():
@@ -503,7 +503,7 @@ def test_constant_is_the_one_segment_step(v):
         assert same(const.v_out, step.v_out)
         assert same(const._geometric_bound, step._geometric_bound)
         assert same([const.delta_tail(n) for n in (0, 1, 49)], [step.delta_tail(n) for n in (0, 1, 49)])
-        assert const.outer_tail_terms() == step.outer_tail_terms() == ()
+        assert same(const.second_difference_signs(50), step.second_difference_signs(50))
         r = np.array([0.0, 0.25, 0.5, 0.999, 1.0])
         assert same(const.evaluate(r), step.evaluate(r))
         assert same(const.comparability_constant, step.comparability_constant)

@@ -2,11 +2,12 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bergkern import (ConstantWeight, DiracAugmentedWeight, StepWeight,
+from bergkern import (ConstantWeight, DiracAugmentedWeight, SampledWeight, StepWeight,
                       auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
@@ -15,6 +16,7 @@ from bergkern.zeros import min_affine_modulus_on_circle
 from rational_oracle import second_difference_signs, step_alpha_pi_fraction
 
 PI = math.pi
+U = 0.5 * np.finfo(float).eps       # unit roundoff
 _polyval = np.polynomial.polynomial.polyval
 
 # dense-sampling/bisection oracle for the plateau kernel's one zero
@@ -45,9 +47,13 @@ def test_second_difference_telescoping_identity(step18):
 
 
 def test_second_difference_constant_is_zero(const1):
-    sd = second_difference_bound(const1, 200)
-    assert sd.s_bound <= 1e-13
-    assert sd.remainder_bound == 0.0
+    # every d2 is proven 0, so the bound is exactly 0, not the telescoped value's rounding
+    for weight in (const1, ConstantWeight(0.25), ConstantWeight(2.5), ConstantWeight(1e300),
+                   DiracAugmentedWeight(0.0)):
+        for n_cutoff in (2, 200, 500):
+            sd = second_difference_bound(weight, n_cutoff)
+            assert sd.s_bound == sd.remainder_bound == 0.0
+            assert sd.sign_certified and not sd.all_negative
 
 
 def test_second_difference_brute_force_oracle(step18):
@@ -74,32 +80,85 @@ def test_mixed_sign_plateau_is_certified_not_negative():
 
 def test_equal_valued_steps_are_certified_flat():
     weight = StepWeight(breakpoints=(0.3, 0.6, 1.0), values=(2.0, 2.0, 2.0))
-    assert weight.outer_tail_terms() == ()
+    signs, proven = weight.second_difference_signs(300)
+    assert proven.all() and not signs.any()
     sd = second_difference_bound(weight, 300)
     assert sd.sign_certified and not sd.all_negative
-    # every d2 is exactly 0, so the partial sum telescopes to (alpha_1-alpha_0) - (alpha_N-alpha_{N-1})
-    assert sd.s_bound == sd.telescoped_value and abs(sd.s_bound) <= 1e-13
-    signs, proven = zeros._second_difference_signs(2.0, (), 300)
-    assert proven.all() and not signs.any()
+    # every d2 is exactly 0, so the bound is exactly 0, not the float telescoped value's noise
+    assert sd.s_bound == 0.0 and sd.remainder_bound == 0.0
 
 
 def test_weights_without_geometric_terms_are_not_sign_certified(step18):
-    for weight in (mollify_weight(step18, 1e-3), DiracAugmentedWeight(10.0)):
-        assert weight.outer_tail_terms() is None
-        assert not second_difference_bound(weight, 200).sign_certified
+    for weight in (mollify_weight(step18, 1e-3),
+                   SampledWeight(radii=(0.0, 0.5), values=(3.0, 3.0))):
+        assert weight.second_difference_signs(200) is None
+        sd = second_difference_bound(weight, 200)
+        # nothing is proven, so nothing telescopes: the float |d2_k| are summed
+        assert not sd.sign_certified and not sd.all_negative
+        assert sd.s_bound == sd.partial_sum + sd.remainder_bound
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.05, 10.0, 1e6, 1e300])
+def test_point_mass_proves_its_signs_exactly(mass):
+    # alpha_0 = 1/(pi+k), alpha_n = (n+1)/pi for n >= 1: d2_2 = 1/(pi+k) - 1/pi, later d2_k = 0
+    weight = DiracAugmentedWeight(mass)
+    for n_cutoff in (2, 3, 50, 300, 500):
+        signs, proven = weight.second_difference_signs(n_cutoff)
+        assert proven.all() and signs.tolist() == [-1.0] + [0.0] * (n_cutoff - 2)
+        sd = second_difference_bound(weight, n_cutoff)
+        assert sd.sign_certified and sd.all_negative == (n_cutoff == 2)
+        assert sd.s_bound == sd.telescoped_value and sd.remainder_bound == 0.0
+        exact = 1.0 / PI - 1.0 / (PI + mass)
+        assert abs(sd.telescoped_value - exact) <= _telescoping_rounding(weight, n_cutoff)
+
+
+def _telescoping_rounding(weight, n_cutoff):
+    """A bound on the rounding of the float (alpha_1-alpha_0) - (alpha_N-alpha_{N-1}): each
+    alpha_n is within a few u of its value, and alpha_N ~ N/pi dominates."""
+    a = weight.alphas(n_cutoff)
+    return 8.0 * U * (a[0] + a[1] + a[-2] + a[-1])
 
 
 _DYADIC_SPLITS = st.lists(st.integers(1, 63), min_size=1, max_size=2, unique=True)
+_DYADIC_VALUES = st.lists(st.integers(1, 64), min_size=3, max_size=3)
+
+
+def _dyadic_step(splits, values):
+    # breakpoints j/64, values j/8: every float datum and b^2 is exact
+    bps = tuple(sorted(j / 64.0 for j in splits)) + (1.0,)
+    return StepWeight(breakpoints=bps, values=tuple(v / 8.0 for v in values[:len(bps)]))
+
+
+_PROVEN_SHAPES = st.one_of(
+    st.builds(_dyadic_step, _DYADIC_SPLITS, _DYADIC_VALUES),
+    st.integers(1, 64).map(lambda v: ConstantWeight(v / 8.0)),
+    st.floats(0.0, 1e6).map(DiracAugmentedWeight))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight=_PROVEN_SHAPES, n_cutoff=st.sampled_from([2, 3, 50, 400]))
+@example(weight=DiracAugmentedWeight(5.636984632421845e-69), n_cutoff=3)   # telescopes below 0
+def test_s_bound_is_nonnegative_and_bounds_the_exact_sum(weight, n_cutoff):
+    sd = second_difference_bound(weight, n_cutoff)
+    assert sd.s_bound >= 0.0
+    with mpmath.workdps(50):
+        if isinstance(weight, DiracAugmentedWeight):     # |d2_2| = 1/pi - 1/(pi+k), the rest 0
+            exact = 1 / mpmath.pi - 1 / (mpmath.pi + weight.mass)
+        else:
+            a = [step_alpha_pi_fraction(weight, n) for n in range(n_cutoff + 1)]
+            total = sum(abs(a[k] - 2 * a[k - 1] + a[k - 2]) for k in range(2, n_cutoff + 1))
+            exact = mpmath.mpf(total.numerator) / total.denominator / mpmath.pi
+        # a telescoped s_bound is not rounded outward, so it may fall below the exact
+        # sum by the telescoped value's own rounding, never by more
+        assert sd.s_bound >= exact - _telescoping_rounding(weight, n_cutoff)
 
 
 @settings(max_examples=25, deadline=None)
-@given(splits=_DYADIC_SPLITS, values=st.lists(st.integers(1, 64), min_size=3, max_size=3))
+@given(splits=_DYADIC_SPLITS, values=_DYADIC_VALUES)
 def test_proven_signs_match_the_exact_oracle(splits, values):
-    # two- and three-step weights with dyadic data: breakpoints j/64, values j/8
-    bps = tuple(sorted(j / 64.0 for j in splits)) + (1.0,)
-    weight = StepWeight(breakpoints=bps, values=tuple(v / 8.0 for v in values[:len(bps)]))
-    signs, proven = zeros._second_difference_signs(
-        weight.values[-1], weight.outer_tail_terms(), 400)
+    # two- and three-step weights with dyadic data
+    weight = _dyadic_step(splits, values)
+    signs, proven = weight.second_difference_signs(400)
     exact = np.array(second_difference_signs(weight, 400))
     assert np.array_equal(signs[proven], exact[proven])
     sd = second_difference_bound(weight, 400)
@@ -114,7 +173,7 @@ def test_signs_at_a_sign_change_are_never_wrong(a, k):
     # float error of its terms, so float signs are wrong on some nearby x, proven ones never
     def sign_at(x):
         w = StepWeight.from_plateau(a, x)
-        return zeros._second_difference_signs(1.0, w.outer_tail_terms(), k)[0][-1]
+        return w.second_difference_signs(k)[0][-1]
 
     lo, hi = 0.05, 0.99
     s_lo = sign_at(lo)
@@ -125,7 +184,7 @@ def test_signs_at_a_sign_change_are_never_wrong(a, k):
     x = np.nextafter(lo, 0.0, dtype=float)
     for _ in range(24):
         weight = StepWeight.from_plateau(a, float(x))
-        signs, proven = zeros._second_difference_signs(1.0, weight.outer_tail_terms(), k)
+        signs, proven = weight.second_difference_signs(k)
         exact = np.array(second_difference_signs(weight, k))
         assert np.array_equal(signs[proven], exact[proven]), x
         x = np.nextafter(x, 1.0)
@@ -136,7 +195,8 @@ def test_explicit_coefficients_are_never_sign_certified(step18):
     # about the weight, so it must not vouch for them
     a = step18.alphas(400)
     sd = second_difference_bound(step18, 400, alphas=a)
-    assert sd.all_negative and not sd.sign_certified
+    assert not sd.all_negative and not sd.sign_certified
+    assert sd.s_bound == sd.partial_sum + sd.remainder_bound
     assert not rouche_certificate(step18, 0.01, alphas=a).second_differences.sign_certified
 
 
@@ -451,10 +511,11 @@ def test_winding_contour_through_zero_still_resolves(step18):
     assert (inside.zero_count, outside.zero_count) == (1, 0)
 
 
-def test_winding_grows_truncation_past_spurious_zeros(const1):
-    # at n_terms=30 the truncation's own zeros sit near |t| = (1/32)^(1/31);
+def test_winding_grows_truncation_past_spurious_zeros(const1, monkeypatch):
+    # started at N = 30, the truncation's own zeros sit near |t| = (1/32)^(1/31);
     # the counter must deepen the truncation until the contour clears them
-    rep = count_zeros_winding(const1, 0.894, n_terms=30, locate=False)
+    monkeypatch.setattr(zeros, "terms_for_tolerance", lambda *args: 30)
+    rep = count_zeros_winding(const1, 0.894, locate=False)
     assert rep.certified and rep.zero_count == 0
     assert rep.n_terms > 30
 
@@ -471,7 +532,9 @@ UNPROVEN_FIELDS = ("rho_used", "zero_count", "n_terms", "min_contour_modulus", "
 def test_uncertified_report_claims_no_count(step18, monkeypatch, max_terms, rho, n_terms, note):
     # every contour attempt fails, so the report carries no figure and names the last failure
     monkeypatch.setattr(kernel, "MAX_TERMS", max_terms)
-    rep = count_zeros_winding(step18, rho, n_terms)
+    if n_terms is not None:     # start the truncation at n_terms
+        monkeypatch.setattr(zeros, "terms_for_tolerance", lambda *args: n_terms)
+    rep = count_zeros_winding(step18, rho)
     assert not rep.certified and rep.located_zeros == ()
     assert [getattr(rep, f) for f in UNPROVEN_FIELDS] == [None] * 6
     assert re.fullmatch(note, rep.diagnostics)
@@ -543,11 +606,6 @@ def test_contour_away_from_zeros_counts_them():
     assert 0.0 < bound <= float(np.min(np.abs(values)))
     assert np.allclose(values, np.polynomial.polynomial.polyval(
         0.7 * np.exp(2j * PI * np.arange(samples) / samples), coeffs), rtol=0, atol=1e-13)
-
-
-def test_n_terms_beyond_max_terms_rejected(step18):
-    with pytest.raises(ValueError, match="MAX_TERMS"):
-        count_zeros_winding(step18, 0.9, n_terms=10 ** 9)
 
 
 # --------------------------------------------------------------------------
