@@ -16,9 +16,12 @@ is one inverse FFT of c_n r^n placed at frequencies 0..N.
 Also here: L^p norms on the grid, a lower-bound probe of the projection's
 L^p operator norm over a family of test functions, and the split-operator
 witness ||Tf||_p^(2p) <= ||S1|f|||_p^p * ||S2|f|||_p^p for the factored
-kernel (geometric part times difference part).  Both factors depend on
-z*conj(w) = r r' e^(i(theta-phi)) and theta-phi stays on the uniform grid,
-so T, S1 and S2 are angular convolutions: FFTs along theta, a sum over r'.
+kernel (geometric part times difference part).  Both factors are
+polynomials in t = z*conj(w) = r r' e^(i(theta-phi)), and theta-phi stays on
+the uniform grid, so T, S1 and S2 are angular convolutions whose kernels are
+sums of (r r')^k e^(id(theta-phi)).  Their DFTs along theta are read off the
+coefficients in closed form, frequency d folded to d mod M, and the sum over
+r' factors through the powers r^k: no kernel is ever sampled.
 
 The probe's test functions are `TestFunction`s: a radial profile rho(r)
 times a finite sum of angular modes a_k e^(ik theta).  P maps
@@ -28,7 +31,8 @@ each c_n from one radial contraction of rho, ||f||_p^p as a radial sum
 times an angular sum, and ||Pf||_p^p as a radial sum whenever at most one
 c_n is nonzero (|Pf| is then radial).  Only functions with two or more
 surviving modes -- the seeded random trig x radial products -- are
-synthesized on the grid, by the inverse FFT that `project` uses.
+synthesized on the grid, as the sum of c_n r^n e^(in theta) over the
+surviving n alone.
 """
 
 from __future__ import annotations
@@ -315,8 +319,9 @@ def _probe_norms(proj: DiscreteProjector, fn: TestFunction, p_values) -> tuple:
     tau = fn.angular(np.exp(1j * proj.thetas))
     f_norms = (radial_sums(np.abs(rho)) * np.sum(np.abs(tau) ** ps[:, None], axis=1)) ** (1.0 / ps)
     surviving = np.flatnonzero(coeffs)
-    if len(surviving) > 1:
-        abs_pf = np.abs(_synthesize(proj, coeffs))
+    if len(surviving) > 1:             # Pf = sum over the surviving n of c_n r^n e^(i n theta)
+        modes = np.exp(1j * np.outer(surviving, proj.thetas))
+        abs_pf = np.abs((coeffs[surviving] * proj.radial_powers[:, surviving]) @ modes)
         return f_norms, np.array([lp_norm(proj, abs_pf, p) for p in p_values])
     if len(surviving) == 1:             # |Pf| = |c_n| r^n, the same on every angle
         n = surviving[0]
@@ -367,6 +372,12 @@ def cs_split_witness(weight, f, p: float, n_trunc: int = 12,
     the squared-modulus operators of the factors applied to |f|, and the
     inequality is two Cauchy-Schwarz steps, valid on any positive grid.
     All integrals here are unweighted (plain dA) and truncated at n_trunc.
+
+    Each kernel is sum_{n,n'} u_n v_n' t^n conj(t)^n' (u = v = 1 for S1,
+    u = v = b for S2, and the product series with v = 1 for T), so its
+    angular DFT is a (2N+1) x M table of coefficients at power n + n' and
+    frequency (n - n') mod M.  A convolution costs two FFTs and two products
+    with the R x (2N+1) powers r^k; no R x R x M kernel array is built.
     """
     _check_exponent(p)
     nodes, wts = _leggauss(radial)
@@ -374,27 +385,23 @@ def cs_split_witness(weight, f, p: float, n_trunc: int = 12,
     thetas = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
     area = (0.5 * wts * r * (2.0 * math.pi / angular))[:, None]     # (R, 1)
 
-    b = np.diff(weight.alphas(n_trunc), prepend=0.0)
+    ones, b = np.ones(n_trunc + 1), np.diff(weight.alphas(n_trunc), prepend=0.0)
     pts = r[:, None] * np.exp(1j * thetas[None, :])
     fv = np.broadcast_to(np.asarray(f(pts), dtype=complex), pts.shape)
+    powers = r[:, None] ** np.arange(2 * n_trunc + 1)                # (R, 2N+1)
 
-    # both factors at t = r_i r_j e^(i theta_d), shape (R, R, M)
-    t = (r[:, None] * r[None, :])[:, :, None] * np.exp(1j * thetas)
-    k1 = (1.0 - t ** (n_trunc + 1)) / (1.0 - t)
-    k2 = np.zeros_like(t)
-    for c in b[::-1]:
-        k2 = k2 * t + c
-
-    def convolve(kernel, g):
-        # sum_j sum_l kernel[i, j, k - l] g[j, l]: a product of DFTs along theta
-        spectrum = np.einsum("ijm,jm->im", np.fft.fft(kernel, axis=2),
-                             np.fft.fft(area * g, axis=1))
-        return np.fft.ifft(spectrum, axis=1)
+    def convolve(u, v, g):
+        # sum_j sum_l kernel[i, j, k - l] g[j, l], the kernel's DFT read off its coefficients
+        n, n2 = np.ogrid[:len(u), :len(v)]
+        table = np.zeros((powers.shape[1], angular))
+        np.add.at(table, (n + n2, (n - n2) % angular), np.outer(u, v))
+        spectrum = powers @ (table * (powers.T @ np.fft.fft(area * g, axis=1)))
+        return np.fft.ifft(spectrum, axis=1) * angular
 
     abs_f = np.abs(fv)
-    tf = convolve(k1 * k2, fv)
-    s1 = np.real(convolve(np.abs(k1) ** 2, abs_f))
-    s2 = np.real(convolve(np.abs(k2) ** 2, abs_f))
+    tf = convolve(np.convolve(ones, b), [1.0], fv)
+    s1 = np.real(convolve(ones, ones, abs_f))
+    s2 = np.real(convolve(b, b, abs_f))
 
     lhs = float(np.sum(area * np.abs(tf) ** p) ** 2)
     rhs = float(np.sum(area * s1 ** p) * np.sum(area * s2 ** p))

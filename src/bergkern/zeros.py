@@ -37,7 +37,7 @@ import numpy as np
 from . import kernel
 from .kernel import (ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, tail_bound,
                      terms_for_tolerance)
-from .weights import _U, SampledWeight, StepWeight, WeightError, radial_integral
+from .weights import _U, _gamma, SampledWeight, StepWeight, WeightError, radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,12 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
     |d2_k| are summed term by term.  ``all_negative`` holds only when every
     sign is proven < 0, and ``sign_certified`` when every sign is proven.
 
+    ``s_bound`` is rounded outward for the arithmetic done here: the telescoped
+    value gains 8u (alpha_0 + alpha_1 + alpha_{N-1} + alpha_N), and the
+    term-by-term sum gains gamma_2 sum (|alpha_k| + 2|alpha_{k-1}| + |alpha_{k-2}|)
+    + gamma_{N-1} sum |d2_k|; proven zeros stay exactly 0.  The error of the
+    float alpha_n themselves is not yet included.
+
     Explicit ``alphas`` (alpha_0..alpha_M, M >= n_cutoff) replace the weight's
     own coefficients.  They are not the weight's, so no sign is proven, and the
     remainder scales from C = alpha_bound to max(alpha_bound, max alpha_n*pi/(n+1)).
@@ -102,9 +108,15 @@ def second_difference_bound(weight, n_cutoff: int, alphas=None) -> SecondDiffere
     # proven one-signed (in the <= 0 sense) second differences telescope exactly, which
     # also sidesteps the roundoff noise of the term-by-term |.| sum (a sum of |.| is never
     # below 0, which the rounded telescoped value can be); proven zeros sum to exactly 0
-    abs_sum = partial = float(np.sum(np.abs(d2)))
+    abs_sum = float(np.sum(np.abs(d2)))
     if sign_certified and not np.any(signs > 0):
-        partial = max(float(telescoped), 0.0) if np.any(signs) else 0.0
+        # the telescoped value's rounding: a few u of each of the four alphas it reads
+        partial = (max(float(telescoped), 0.0) + float(8.0 * _U * (a[0] + a[1] + a[-2] + a[-1]))
+                   if np.any(signs) else 0.0)
+    else:
+        # two roundings in each d2_k, and gamma_(N-1) of the sum of N-1 terms
+        operands = np.abs(a[2:]) + 2.0 * np.abs(a[1:-1]) + np.abs(a[:-2])
+        partial = abs_sum + float(_gamma(2) * np.sum(operands) + _gamma(n_cutoff - 1) * abs_sum)
     return SecondDifferenceSummary(
         n_cutoff=n_cutoff, partial_sum=abs_sum, telescoped_value=float(telescoped),
         remainder_bound=float(remainder), s_bound=partial + float(remainder),

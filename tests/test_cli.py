@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import functools
 import importlib
 import json
 import math
@@ -104,26 +105,26 @@ def test_oversized_input_exits_2_before_allocating(argv, capsys):
     assert peak < 16 * 2 ** 20
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, bergkern.cli; print('scipy.integrate' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "False"
-
-
-def test_cli_import_loads_no_numpy_polynomial_beyond_numpy():
+@functools.cache
+def _modules_loaded_by_cli_import() -> tuple:
+    """Modules a fresh interpreter loads for ``import bergkern.cli`` after numpy's own."""
     code = ("import sys, numpy\n"
-            "before = {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+            "before = set(sys.modules)\n"
             "import bergkern.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')\n"
-            "             and m not in before))")
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "[]"
+    return tuple(out.split())
+
+
+@pytest.mark.parametrize("package", ["scipy", "mpmath", "numpy.polynomial", "bergkern.acceptance"])
+def test_cli_import_loads_no_slow_module(package):
+    # each of these costs import time on every command that does not use it
+    loaded = _modules_loaded_by_cli_import()
+    assert "bergkern.cli" in loaded
+    assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
 _NAN_SAMPLED = {"type": "sampled", "radii": [math.nan, 0.5], "values": [2, 1]}

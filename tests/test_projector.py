@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,20 @@ def test_probe_matches_dense_reference(weight, n_max, extra_angles, radial, p_va
                 assert ratio == pytest.approx(ref, abs=1e-12)
 
 
+def test_probe_folds_many_modes_onto_the_grid(step18):
+    # N = 10 on the default 48 angles: modes 50 and 101 fold onto 2 and 5, -45 and -40 onto
+    # 3 and 8; -1, 11 and 60 (onto 47, 11 and 12) are annihilated; seven modes survive
+    ks = (0, 2, 3, 5, 8, 10, 50, 101, -45, -40, -1, 11, 60, 7)
+    modes = tuple((k, complex(math.cos(k), 0.5 + 0.1 * j)) for j, k in enumerate(ks))
+    family = [("folded", TestFunction(lambda r: 1.0 + r - 2.0 * r ** 3, modes))]
+    p_values = [1.5, 2.0, 3.0]
+    got = lp_probe(step18, p_values, n_max=10, radial_per_segment=24, family=family)
+    want = reference_lp_probe(step18, p_values, 10, 24, None, family)
+    for res, rows in zip(got, want):
+        assert res.rows[0][1] == pytest.approx(rows[0][1], rel=1e-12)
+        assert res.rows[0][1] > 0.05
+
+
 # --------------------------------------------------------------------------
 # split witness
 # --------------------------------------------------------------------------
@@ -379,6 +394,32 @@ def test_cs_split_matches_dense_reference_on_small_grids(a, x, p, n_trunc, radia
         assert wit.lhs == pytest.approx(lhs, rel=1e-12)
         assert wit.rhs == pytest.approx(rhs, rel=1e-12)
     assert wit.holds == holds
+
+
+def test_cs_split_aliased_spectra_match_dense_reference(step18):
+    # n_trunc = 30 on 48 angles: T's kernel frequencies 0..60 and those of S1 and S2,
+    # -30..30, overlap modulo 48, so their spectra must fold, not truncate
+    fn = lambda z: np.polyval([0.3 + 0.7j, -0.8, 0.1 - 0.4j, 0.6j], z) + 0.5 * np.conj(z) ** 2
+    for p in (1.5, 3.0):
+        wit = cs_split_witness(step18, fn, p, n_trunc=30)
+        lhs, rhs, holds = reference_split_witness(step18, fn, p, n_trunc=30)
+        assert wit.lhs == pytest.approx(lhs, rel=1e-12)
+        assert wit.rhs == pytest.approx(rhs, rel=1e-12)
+        assert wit.holds == holds
+
+
+def test_cs_split_builds_no_kernel_array(step18):
+    # the kernels enter through their (2N+1) x M coefficient tables; an R x R x M complex
+    # array would take 64*64*96*16 bytes = 6 MB on its own
+    fn = lambda z: np.polyval([1.0, -0.5j, 0.25, 1.0], z)
+    cs_split_witness(step18, fn, 2.0, radial=64, angular=96)     # warm the Gauss rule cache
+    tracemalloc.start()
+    try:
+        cs_split_witness(step18, fn, 2.0, radial=64, angular=96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_cs_split_rejects_bad_exponent(step18):
