@@ -19,8 +19,8 @@ from .projector import (build_projector, cs_split_witness, default_family, funct
 from .regularity import (schur_bound_check, schur_integral, schur_integral_quadrature,
                          schur_theoretical_constant)
 from .weights import ConstantWeight, StepWeight, alphas_closed_form, moment_quadrature
-from .zeros import (count_zeros_winding, dirac_zero_threshold, inflation_check,
-                    mollify_weight, rouche_certificate, second_difference_bound)
+from .zeros import (auto_rouche_epsilon, count_zeros_winding, dirac_zero_threshold,
+                    inflation_check, mollify_weight, rouche_certificate, second_difference_bound)
 
 STEP_WEIGHT = StepWeight.from_plateau(18.0, 0.25)
 CONST_WEIGHT = ConstantWeight(1.0)
@@ -30,6 +30,8 @@ ALPHA1_EXACT = 512.0 / (273.0 * math.pi)
 LINEAR_ROOT_EXACT = -91.0 / 170.0
 # telescoped limit of sum |second differences|: (alpha_1-alpha_0) - 1/pi = 391/(1001*pi)
 S_BOUND_EXACT = 391.0 / (1001.0 * math.pi)
+# the certificate holds for 0 < eps < eps_sup = 91/2720; an error dS moves it by dS/0.288
+EPS_SUP_EXACT = 1.0 - (ALPHA0_EXACT + S_BOUND_EXACT) / (ALPHA1_EXACT - 2.0 * ALPHA0_EXACT)
 # dense-sampling / bisection oracle for the one zero of the plateau kernel
 STEP_ZERO_ORACLE = -0.476874666838925
 
@@ -106,21 +108,24 @@ def criterion_second_diff() -> CriterionResult:
 
 
 def criterion_rouche() -> CriterionResult:
-    """4: certificate at eps=0.01 plus certified winding counts."""
+    """4: certificate at eps=0.01, its closed-form range eps_sup, certified winding counts."""
     cert = rouche_certificate(STEP_WEIGHT, 0.01)
     min_l_err = abs(cert.min_l - 0.1310974583)
     s_bound_err = abs(cert.s_bound - S_BOUND_EXACT)
+    eps_sup = auto_rouche_epsilon(STEP_WEIGHT)[0]
+    eps_sup_err = abs(eps_sup - EPS_SUP_EXACT)
     step_report = _zero_report(STEP_WEIGHT, 0.99)
     const_report = _zero_report(CONST_WEIGHT, 0.999)
-    ok = (cert.holds and min_l_err <= 1e-6 and s_bound_err <= 1e-6
+    ok = (cert.holds and min_l_err <= 1e-6 and s_bound_err <= 1e-6 and eps_sup_err <= 4e-6
           and step_report.certified and step_report.zero_count >= 1
           and const_report.certified and const_report.zero_count == 0)
     return CriterionResult(
         "rouche", "certificate and winding counts", ok,
         f"holds={cert.holds} (min|L|={cert.min_l:.6f} > S={cert.s_bound:.6f}), "
+        f"eps_sup={eps_sup:.8f} (exact {EPS_SUP_EXACT:.8f}, err {eps_sup_err:.2e}, tol 4e-6), "
         f"plateau count@0.99 = {step_report.zero_count} (certified={step_report.certified}), "
         f"constant count@0.999 = {const_report.zero_count} (certified={const_report.certified})",
-        {"min_l": cert.min_l, "s_bound": cert.s_bound})
+        {"min_l": cert.min_l, "s_bound": cert.s_bound, "eps_sup": eps_sup})
 
 
 def criterion_located() -> CriterionResult:
@@ -200,11 +205,11 @@ def criterion_schur() -> CriterionResult:
         series_val = schur_integral(ones, eps, r).value
         quad_val = schur_integral_quadrature(ones, eps, r)
         worst_rel = max(worst_rel, _rel(series_val, quad_val))
-    ok = ratio_ok and worst_rel <= 1e-6
+    ok = ratio_ok and worst_rel <= 1e-13
     return CriterionResult(
         "schur", "closed-form domination and quadrature match", ok,
         f"ratio grid dominated for eps in {{-0.75,-0.5,-2/9}}: {ratio_ok}; "
-        f"worst series/quadrature rel diff {worst_rel:.2e} (tol 1e-6)",
+        f"worst series/quadrature rel diff {worst_rel:.2e} (tol 1e-13)",
         {"worst_rel": worst_rel})
 
 

@@ -157,12 +157,8 @@ def _cmd_rouche(args) -> int:
     units = SCALED_UNITS if args.scaled_units else TRUE_UNITS
     payload = {"units": units, "weight": weight.label()}
     if args.eps is None:
-        best, table = auto_rouche_epsilon(weight, n_cutoff=args.n_cutoff)
-        payload["auto_eps_best"] = best
-        payload["auto_eps_table"] = [
-            {"eps": e, "holds": c.holds, "min_L": c.min_l * factor,
-             "S_bound": _finite(c.s_bound * factor)} for e, c in table]
-        cert = table[-1][1] if best is None else dict(table)[best]
+        eps_sup, r_zero, cert = auto_rouche_epsilon(weight, n_cutoff=args.n_cutoff)
+        payload.update({"eps_sup": _finite(eps_sup), "r_zero": _finite(r_zero)})
     else:
         cert = rouche_certificate(weight, args.eps, n_cutoff=args.n_cutoff)
     payload.update({
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("rouche", _cmd_rouche, "zero-existence certificate on |t| = 1-eps")
     p.add_argument("--eps", type=float, default=None,
-                   help="ring parameter; omitted = auto-search a log grid in [0.001, 0.03]")
+                   help="ring parameter; omitted = eps_sup/2, with the range (0, eps_sup)")
     p.add_argument("--n-cutoff", type=int, default=400)
     p.add_argument("--scaled-units", action="store_true")
 

@@ -39,19 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .weights import MAX_TERMS, DiracAugmentedWeight
-
-
-@lru_cache(maxsize=None)
-def _leggauss(deg: int):
-    """Gauss-Legendre nodes and weights of degree ``deg``; numpy.polynomial loads on first use."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(deg)
+from .weights import MAX_TERMS, DiracAugmentedWeight, _leggauss
 
 
 MAX_GRID_POINTS = 1 << 21   # caps R*M, and (nodes per segment)^2: each Gauss rule's matrix

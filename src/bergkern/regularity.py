@@ -20,10 +20,10 @@ The quantitative engine is the weighted integral
 which monomial orthogonality reduces to the Beta-function series
 sum |beta_n|^2 |z|^(2n) * pi * B(n+1, eps+1).  For bounded sequences it is
 dominated by pi*(1/(eps+1) - 1/eps) * (1-|z|^2)^eps, the closed-form
-constant checked by ``schur_bound_check``.  A direct two-dimensional polar
-quadrature of the defining integral is kept alongside as an independent
-route (``schur_integral_quadrature``).  The Schur routines take a real 1-D
-array beta_0..beta_N.
+constant checked by ``schur_bound_check``.  A polar quadrature of the
+defining integral (trapezoid in angle, Gauss-Jacobi in r^2) is kept as an
+independent route (``schur_integral_quadrature``).  The Schur routines
+take a real 1-D array beta_0..beta_N.
 """
 
 from __future__ import annotations
@@ -147,41 +147,43 @@ def schur_integral(betas, epsilon: float, z_radius: float) -> SchurIntegral:
     return _schur_integrals(np.asarray(betas, dtype=float), epsilon, (z_radius,))[0]
 
 
-SCHUR_QUAD_TOL = 1e-11     # absolute and relative tolerance of the radial quadrature
+def _jacobi_gauss(m: int, epsilon: float):
+    """m-point Gauss rule (nodes, weights) for int_0^1 (1-u)^eps f(u) du, by Golub-Welsch on the
+    Jacobi matrix of (1-x)^eps on [-1, 1] (diagonal -eps^2/(s(s+2)), off-diagonal
+    2k(k+eps)/(s sqrt(s^2-1)), s = 2k + eps), then u = (1+x)/2."""
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + epsilon
+    off = 2.0 * k[1:] * (k[1:] + epsilon) / (s[1:] * np.sqrt((s[1:] + 1.0) * (s[1:] - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(-epsilon * epsilon / (s * (s + 2.0)))
+                                    + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + nodes), vectors[0] ** 2 / (epsilon + 1.0)
+
+
+SCHUR_MAX_NODES = 2048     # radial Gauss-Jacobi nodes: caps the m x m eigenproblem
 
 
 def schur_integral_quadrature(betas, epsilon: float, z_radius: float) -> float:
     """Direct polar quadrature of the defining integral (independent route).
 
-    The angular integral of |sum beta_n (z*conj(w))^n|^2 is a trigonometric
-    polynomial of degree n_max, integrated exactly by the trapezoid rule;
-    the radial factor (1-r^2)^eps is handled by an algebraic-endpoint
-    weighted adaptive rule after substituting u = r^2.
+    The angular mean A of |sum beta_n (z*conj(w))^n|^2 is exact by the trapezoid rule
+    on max(64, n_max+1) angles, one FFT per radius.  With u = r^2 the radial integral
+    int_0^1 (1-u)^eps pi A du takes a Gauss-Jacobi rule of ceil(12/sqrt(1-|z|^2)) nodes,
+    since A behaves like 1/(1 - |z|^2 u), but of no more than ceil((n_max+2)/2), which is
+    exact for A, a polynomial of degree n_max in u.  More than SCHUR_MAX_NODES: ValueError.
     """
-    from scipy.integrate import quad    # imported here: nothing else needs scipy at start-up
     _check_epsilon(epsilon)
+    if not 0.0 <= z_radius < 1.0:
+        raise ValueError(f"need |z| < 1, got {z_radius}")
     betas = np.asarray(betas, dtype=float)
-    n_max = len(betas) - 1
-    m = max(64, n_max + 1)
-    thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    phase = np.exp(-1j * thetas)
-    uniform = bool(np.all(betas == betas[0]))
-
-    def angular_mean(radius: float) -> float:
-        q = z_radius * radius * phase
-        if uniform:
-            safe = np.where(np.abs(q - 1.0) > 1e-14, q, 0.0)
-            s = betas[0] * (1.0 - safe ** (n_max + 1)) / (1.0 - safe)
-        else:
-            s = np.zeros_like(q)
-            for c in betas[::-1]:
-                s = s * q + c
-        return float(np.mean(np.abs(s) ** 2))
-
-    val, err = quad(lambda u: math.pi * angular_mean(math.sqrt(u)), 0.0, 1.0,
-                    weight="alg", wvar=(0.0, epsilon),
-                    epsabs=SCHUR_QUAD_TOL, epsrel=SCHUR_QUAD_TOL, limit=300)
-    return val
+    n = np.arange(len(betas))
+    m = min((len(betas) + 2) // 2, math.ceil(12.0 / math.sqrt((1.0 - z_radius) * (1.0 + z_radius))))
+    if m > SCHUR_MAX_NODES:
+        raise ValueError(f"|z| = {z_radius} needs a {m}-node radial rule, more than "
+                         f"SCHUR_MAX_NODES = {SCHUR_MAX_NODES}")
+    u, weights = _jacobi_gauss(m, epsilon)
+    means = [np.mean(np.abs(np.fft.fft(betas * z_radius ** n * np.exp(0.5 * n * math.log(x)),
+                                       max(64, len(betas)))) ** 2) for x in u]
+    return math.pi * float(weights @ means)
 
 
 @dataclass(frozen=True)

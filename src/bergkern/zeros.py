@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -178,20 +177,21 @@ def rouche_certificate(weight, epsilon: float, n_cutoff: int = 400,
     return _rouche(epsilon, second_difference_bound(weight, n_cutoff, alphas))
 
 
-ROUCHE_EPS_GRID = tuple(np.geomspace(1e-3, 0.03, 12).tolist())   # searched by auto_rouche_epsilon
-
-
 def auto_rouche_epsilon(weight, n_cutoff: int = 400):
-    """Largest epsilon of ROUCHE_EPS_GRID for which the certificate holds.
+    """(eps_sup, r_zero, certificate): the certificate holds exactly for 0 < eps < eps_sup.
 
-    Returns (best_epsilon_or_None, list of (epsilon, certificate)); the
-    admissible range is reported rather than guessed.  The second-difference
-    bound does not depend on epsilon, so every certificate shares one.
+    With a0 = alpha_0, s = alpha_1 - 2 a0 and S the second-difference bound, the affine root
+    is inside |t| = 1 - eps and min|L| = |s|(1 - eps) - a0 > S exactly when eps < eps_sup =
+    1 - r_zero, r_zero = (a0 + S)/|s| (inf for s = 0): a zero is proven in |t| < r_zero.
+    r_zero is rounded up by 8u (the three roundings of (a0 + S)/|s| and its own), eps_sup
+    down by one ulp; the error of the float alpha_n themselves is not yet included.  The
+    certificate is the one at eps_sup/2, or at 0.03, where it fails, when eps_sup <= 0.
     """
     sd = second_difference_bound(weight, n_cutoff)
-    table = [(e, _rouche(e, sd)) for e in ROUCHE_EPS_GRID]
-    passing = [e for e, cert in table if cert.holds]
-    return (max(passing) if passing else None), table
+    slope = sd.alpha_1 - 2.0 * sd.alpha_0
+    r_zero = (sd.alpha_0 + sd.s_bound) / abs(slope) * (1.0 + 8.0 * _U) if slope else math.inf
+    eps_sup = math.nextafter(1.0 - r_zero, -math.inf)
+    return eps_sup, r_zero, _rouche(0.5 * eps_sup if eps_sup > 0.0 else 0.03, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +515,15 @@ class InflationCheck:
     m_used: int
 
 
-@lru_cache(maxsize=4096)
-def reinhardt_monomial_norm(weight, m: int) -> float:
-    """Squared norm of z^m on the domain {z in D, |w|^2 < lam(z)}.
+def reinhardt_monomial_norm(weight, m):
+    """Squared norm of z^m on the domain {z in D, |w|^2 < lam(z)}, for one m or an array.
 
-    Integrating the fibre first gives
-        pi * int_D |z|^(2m) lam(z) dA(z),
-    a radial integral evaluated by ``weights.radial_integral`` (relative
-    tolerance 1e-12).  That is the integrator the moment cross-check uses
-    too; the identity check below stays independent, because its other side
-    comes from the closed-form coefficient series, not from quadrature.
+    Integrating the fibre first gives pi * int_D |z|^(2m) lam(z) dA(z), which
+    ``weights.radial_integral`` evaluates (relative tolerance 1e-12), all m at once.
+    The moment cross-check uses that integrator too; the identity check below stays
+    independent, because its other side is the closed-form coefficient series.
     """
-    return math.pi * 2.0 * math.pi * radial_integral(weight, 2 * m + 1)[0]
+    return math.pi * 2.0 * math.pi * radial_integral(weight, 2 * np.asarray(m) + 1)[0]
 
 
 def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> InflationCheck:
@@ -544,8 +541,8 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
     try:    # each series gets tol/100; a failure names the tol given
         # terms are bounded by (c/pi^2)(m+1)|q|^m, so reuse the series tail rule
         m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
-        lhs = complex(sum(q ** m / reinhardt_monomial_norm(weight, m)
-                          for m in range(m_used + 1)))
+        norms = reinhardt_monomial_norm(weight, np.arange(m_used + 1)).tolist()
+        lhs = complex(sum(q ** m / norm for m, norm in enumerate(norms)))
         rhs = kernel_eval(weight, complex(z), complex(t), tol=tol * 1e-2).value / math.pi
     except ToleranceError as exc:
         raise ToleranceError(f"tol {tol:.3e} (tol/100 for each series) not reached: {exc}") from None

@@ -127,6 +127,27 @@ def test_cli_import_loads_no_slow_module(package):
     assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
+def test_every_route_runs_without_scipy(tmp_path):
+    # scipy is only a test dependency: with its import blocked every quadrature route still runs
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from bergkern.cli import main\n"
+            "from bergkern.regularity import schur_integral_quadrature\n"
+            "assert main(['repro-all']) == 0\n"
+            "assert main(['moments', '--step', '18,0.25', '-N', '20', '--method', 'quadrature',\n"
+            f"             '--out', {str(tmp_path / 'm.csv')!r}]) == 0\n"
+            "assert main(['inflate-check', '--step', '18,0.25', '--z', '0.4', '--t', '0.3+0.1i',\n"
+            f"             '--out', {str(tmp_path / 'i.json')!r}]) == 0\n"
+            "assert schur_integral_quadrature(np.ones(50), -0.5, 0.9) > 0.0\n"
+            "assert [m for m in sys.modules if m.split('.')[0] == 'scipy'] == ['scipy']\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "SUMMARY: 12/12 criteria passed" in done.stdout
+
+
 _NAN_SAMPLED = {"type": "sampled", "radii": [math.nan, 0.5], "values": [2, 1]}
 _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
 
@@ -349,8 +370,13 @@ def test_rouche_scaled_units_factor(tmp_path):
 def test_rouche_auto_eps(tmp_path):
     status, payload = run_json(["rouche", "--step", "18,0.25"], tmp_path)
     assert status == 0
-    assert 0.001 <= payload["auto_eps_best"] <= 0.03
-    assert any(row["holds"] for row in payload["auto_eps_table"])
+    assert payload["eps_sup"] == pytest.approx(91.0 / 2720.0, abs=4e-6)
+    assert payload["r_zero"] == pytest.approx(1.0 - payload["eps_sup"], rel=1e-15)
+    assert payload["epsilon"] == 0.5 * payload["eps_sup"] and payload["holds"] is True
+    # no epsilon works: the certificate at 0.03 is printed, and fails
+    status, payload = run_json(["rouche", "--step", "11,0.5"], tmp_path)
+    assert status == 0 and payload["eps_sup"] < 0.0
+    assert payload["epsilon"] == 0.03 and payload["holds"] is False
 
 
 def _strict_json(text: str):
@@ -379,7 +405,7 @@ def test_json_output_is_strict_json(argv, tmp_path, capsys):
     payload = _strict_json(capsys.readouterr().out)
     if argv[0] == "rouche":       # C*G overflows the delta-tail: no finite bound, no certificate
         assert payload["S_bound"] is None and payload["holds"] is False
-        assert all(row["S_bound"] is None for row in payload.get("auto_eps_table", []))
+        assert payload.get("eps_sup") is None and payload.get("r_zero") is None
     if argv[0] == "coeff-check":
         assert payload["s_bound"] is None
 
@@ -400,7 +426,7 @@ def test_constant_second_difference_bound_is_zero(tmp_path):
         _, rouche = run_json(["rouche", "--weight", weight], tmp_path)
         assert coeff["s_bound"] == 0.0 and coeff["sign_certified_exact"] is True
         assert rouche["S_bound"] == 0.0
-        assert all(row["S_bound"] == 0.0 for row in rouche["auto_eps_table"])
+        assert rouche["eps_sup"] is None and rouche["holds"] is False     # alpha_1 = 2 alpha_0
 
 
 def test_find_zeros_has_no_truncation_option(capsys):
@@ -671,11 +697,13 @@ def test_moments_closed_form_csv_bytes(argv, label, rows, capsys):
 
 
 def test_inflate_check(tmp_path):
-    status, payload = run_json(
-        ["inflate-check", "--step", "18,0.25", "--z", "0.4", "--t", "0.3+0.1i"], tmp_path)
-    assert status == 0
-    assert payload["agree"] is True
-    assert payload["abs_diff"] <= 1e-8
+    # near the boundary the left side needs 19 871 monomial norms, all from one quadrature pass
+    for z, t in (("0.4", "0.3+0.1i"), ("0.999", "0.999")):
+        status, payload = run_json(["inflate-check", "--step", "18,0.25", "--z", z, "--t", t],
+                                   tmp_path)
+        assert status == 0
+        assert payload["agree"] is True
+        assert payload["abs_diff"] <= 1e-8
 
 
 def test_repro_all_subset(capsys):

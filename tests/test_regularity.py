@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bergkern import (ConstantWeight, DiracAugmentedWeight, coefficient_conditions, log_beta,
                       schur_bound_check, schur_integral, schur_integral_quadrature)
@@ -10,6 +10,7 @@ from bergkern import regularity
 from bergkern.regularity import schur_theoretical_constant
 
 PI = math.pi
+U = 2.0 ** -53       # unit roundoff
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +140,35 @@ def test_schur_reduction_matches_quadrature_random(data, eps, r):
     series_val = schur_integral(seq, eps, r).value
     quad_val = schur_integral_quadrature(seq, eps, r)
     assert abs(series_val - quad_val) <= 1e-6 * max(abs(quad_val), 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(eps=-0.99, r=0.999, length=2001, seed=0, ones=True)
+@example(eps=-0.906, r=0.999, length=2001, seed=1, ones=False)
+@example(eps=-0.01, r=0.999, length=2001, seed=2, ones=False)
+@given(
+    eps=st.floats(min_value=-0.99, max_value=-0.01),
+    r=st.floats(min_value=0.0, max_value=0.999),
+    length=st.integers(min_value=1, max_value=2001),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    ones=st.booleans(),
+)
+def test_schur_jacobi_route_matches_series(eps, r, length, seed, ones):
+    seq = np.ones(length) if ones else np.random.default_rng(seed).uniform(-1.0, 1.0, length)
+    series_val = schur_integral(seq, eps, r).value
+    quad_val = schur_integral_quadrature(seq, eps, r)
+    # near |z| = 1 both routes lose about u/(1-|z|^2): the rule at its nodes' rounding, where
+    # the angular mean's relative slope is |z|^2/(1-|z|^2 u), and the series in lgamma's
+    # cancellation; at |z| = 0.999 they were measured up to 3.0e-13 and 1.0e-13 off 30 digits
+    assert abs(quad_val - series_val) <= (1e-13 + 8.0 * U / (1.0 - r * r)) * series_val
+
+
+def test_schur_quadrature_bounds_its_radial_rule():
+    with pytest.raises(ValueError, match="need"):
+        schur_integral_quadrature(np.ones(5), -0.5, 1.0)
+    # the rule would need ceil(12/sqrt(1-|z|^2)) > 8e6 nodes, capped at 5001 for 10 001 terms
+    with pytest.raises(ValueError, match="5001-node radial rule, more than SCHUR_MAX_NODES"):
+        schur_integral_quadrature(np.ones(10001), -0.5, 1.0 - 1e-12)
 
 
 def test_schur_integral_monotone_in_radius():

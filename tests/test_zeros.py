@@ -276,12 +276,25 @@ def test_min_affine_modulus_vs_dense_sampling():
         assert sampled - analytic <= 1e-6 * max(1.0, abs(slope) * radius)
 
 
-def test_auto_eps_search(step18):
-    best, table = auto_rouche_epsilon(step18)
-    assert best is not None and 0.001 <= best <= 0.03
-    assert all(cert.holds for eps, cert in table if eps <= best)
-    # 0.05 fails, so the best passing value stays below it
-    assert best < 0.05
+def test_auto_eps_search():
+    # the certificate holds exactly for 0 < eps < eps_sup = 1 - (a0 + S)/|alpha_1 - 2 a0|
+    for (a, x), expected in (((18.0, 0.25), 0.033456), ((30.0, 0.3), 0.4185),
+                             ((11.0, 0.5), -0.62), ((3.0, 0.7), -1.86)):
+        weight = StepWeight.from_plateau(a, x)
+        eps_sup, r_zero, cert = auto_rouche_epsilon(weight)
+        sd = second_difference_bound(weight, 400)
+        # rounded outward against the exact value of the same floats
+        exact_r = (Fraction(sd.alpha_0) + Fraction(sd.s_bound)) / abs(
+            Fraction(sd.alpha_1) - 2 * Fraction(sd.alpha_0))
+        assert Fraction(r_zero) >= exact_r and Fraction(eps_sup) <= 1 - exact_r
+        assert r_zero == pytest.approx(float(exact_r), rel=1e-14)
+        assert eps_sup == pytest.approx(expected, rel=1e-2)
+        if eps_sup > 0.0:
+            assert cert.epsilon == 0.5 * eps_sup and cert.holds
+            assert rouche_certificate(weight, eps_sup * (1.0 - 1e-9)).holds
+            assert not rouche_certificate(weight, eps_sup * (1.0 + 1e-9)).holds
+        else:
+            assert cert.epsilon == 0.03 and not cert.holds
 
 
 def test_auto_eps_search_shares_one_bound(step18, monkeypatch):
@@ -298,14 +311,10 @@ def test_auto_eps_search_shares_one_bound(step18, monkeypatch):
 
     monkeypatch.setattr(zeros, "second_difference_bound", counting_bound)
     monkeypatch.setattr(StepWeight, "alphas", counting_alphas)
-    best, table = auto_rouche_epsilon(step18, n_cutoff=300)
+    eps_sup, _, cert = auto_rouche_epsilon(step18, n_cutoff=300)
     assert len(bounds) == 1 and fetches == [300]
-    # each certificate of the search is the one rouche_certificate gives alone
-    bounds.clear()
-    fetches.clear()
-    for eps, cert in table:
-        assert rouche_certificate(step18, eps, n_cutoff=300) == cert
-    assert len(bounds) == len(table) and fetches == [300] * len(table)
+    # the certificate is the one rouche_certificate gives alone at eps_sup/2
+    assert rouche_certificate(step18, 0.5 * eps_sup, n_cutoff=300) == cert
 
 
 # --------------------------------------------------------------------------
