@@ -127,8 +127,8 @@ def _cmd_moments(args) -> int:
     if args.n_terms > MAX_TERMS:
         raise ValueError(f"-N {args.n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
     table = moment_table(weight, args.n_terms, tol=args.tol, method=args.method)
-    rows = [[n, repr(mu), repr(alpha), table.method, repr(err)] for n, (mu, alpha, err)
-            in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist()))]
+    rows = ([n, repr(mu), repr(alpha), table.method, repr(err)] for n, (mu, alpha, err)
+            in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist())))
     emit_csv(f"moments of {weight.label()}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; "
              f"alpha_n = 1/mu_n; units {TRUE_UNITS}",
              ["n", "mu", "alpha", "method", "err"], rows, args.out)
@@ -278,7 +278,12 @@ def _cmd_lp_probe(args) -> int:
             raise ValueError(f"--functions: {exc}") from None
     else:
         family = default_family(args.n_terms, seed=args.seed)
-    p_values = [float(p) for p in args.p.split(",")]
+    try:
+        p_values = [float(p) for p in args.p.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--p: {exc}") from None
+    if args.radial < 1:
+        raise ValueError(f"--radial: need at least 1 node per segment, got {args.radial}")
     results = lp_probe(weight, p_values, n_max=args.n_terms,
                        radial_per_segment=args.radial, angular=args.angular, family=family)
     rows = []

@@ -26,13 +26,19 @@ r' factors through the powers r^k: no kernel is ever sampled.
 The probe's test functions are `TestFunction`s: a radial profile rho(r)
 times a finite sum of angular modes a_k e^(ik theta).  P maps
 rho(r) e^(ik theta) to a multiple of z^k, which is 0 unless 0 <= k <= N,
-and the M-point grid sees mode k at frequency k mod M.  So the probe gets
-each c_n from one radial contraction of rho, ||f||_p^p as a radial sum
-times an angular sum, and ||Pf||_p^p as a radial sum whenever at most one
-c_n is nonzero (|Pf| is then radial).  Only functions with two or more
-surviving modes -- the seeded random trig x radial products -- are
-synthesized on the grid, as the sum of c_n r^n e^(in theta) over the
-surviving n alone.
+and the M-point grid sees mode k at frequency k mod M.  So the probe takes
+a whole block of the family in a few array passes: the profiles stack into
+an F x R array, the folded modes into an F x M spectrum whose inverse FFT
+is the angular factors, and one contraction of the profiles against r^n,
+for the n that some member has, gives every c_n.  ||f||_p is a radial norm
+times an angular norm, and ||Pf||_p a radial norm whenever at most one c_n
+is nonzero (|Pf| = |c_n| r^n).  Only functions with two or more surviving
+modes -- the seeded random trig x radial products -- are synthesized on
+the grid, as the sum of c_n r^n e^(in theta) over the surviving n alone;
+log |Pf|^2 is taken once and exponentiated once per p.  Every norm is its
+maximum times a sum of powers of modulus/maximum <= 1, so no p in (1, inf)
+overflows or underflows (at p = 1e308 a ratio is max|Pf| / max|f| on the
+grid), and blocks keep the memory O(R M) for a family of any size.
 """
 
 from __future__ import annotations
@@ -66,11 +72,10 @@ class DiscreteProjector:
         return self.radii[:, None] * np.exp(1j * self.thetas[None, :])
 
     @cached_property
-    def weighted_area(self) -> np.ndarray:
-        """lam dA weights on the grid: lam * w_r * r * dtheta, shape (R, M)."""
+    def radial_area(self) -> np.ndarray:
+        """lam dA at each grid point of a radius: lam * w_r * r * dtheta, shape (R,)."""
         dtheta = 2.0 * math.pi / len(self.thetas)
-        area = (self.radial_weights * self.radii)[:, None] * np.full(len(self.thetas), dtheta)
-        return area * self.lam[:, None]
+        return self.radial_weights * self.radii * dtheta * self.lam
 
     @cached_property
     def radial_powers(self) -> np.ndarray:
@@ -80,7 +85,7 @@ class DiscreteProjector:
     @cached_property
     def weighted_powers(self) -> np.ndarray:
         """lam w_r r dtheta r^n, shape (R, n_max+1): the radial half of <f, w^n>_lam."""
-        return self.weighted_area[:, :1] * self.radial_powers
+        return self.radial_area[:, None] * self.radial_powers
 
 
 def build_projector(weight, n_max: int, radial_per_segment: int = 200,
@@ -121,15 +126,7 @@ def build_projector(weight, n_max: int, radial_per_segment: int = 200,
 
 def inner_product(proj: DiscreteProjector, f: np.ndarray, g: np.ndarray) -> complex:
     """Discrete <f, g>_lam = sum w * f * conj(g)."""
-    return complex(np.sum(proj.weighted_area * f * np.conj(g)))
-
-
-def _contract(proj: DiscreteProjector, spectrum: np.ndarray) -> np.ndarray:
-    """sum_i lam_i w_i r_i dtheta r_i^n spectrum[i, n] for n = 0..n_max.
-
-    spectrum is (R, n_max+1), or (R, 1) for a radial profile shared by every n.
-    """
-    return np.sum(proj.weighted_powers * spectrum, axis=0)
+    return complex(np.sum(proj.radial_area[:, None] * f * np.conj(g)))
 
 
 def _synthesize(proj: DiscreteProjector, coeffs: np.ndarray) -> np.ndarray:
@@ -141,7 +138,7 @@ def _synthesize(proj: DiscreteProjector, coeffs: np.ndarray) -> np.ndarray:
 
 def monomial_inner(proj: DiscreteProjector, f: np.ndarray) -> np.ndarray:
     """<f, w^n>_lam for n = 0..n_max: an FFT along theta, then the radial sum."""
-    return _contract(proj, np.fft.fft(f, axis=1)[:, :proj.n_max + 1])
+    return np.sum(proj.weighted_powers * np.fft.fft(f, axis=1)[:, :proj.n_max + 1], axis=0)
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,14 @@ def _check_exponent(p: float) -> float:
 
 
 def lp_norm(proj: DiscreteProjector, f: np.ndarray, p: float) -> float:
-    """(int |f|^p lam dA)^(1/p) on the grid."""
+    """(int |f|^p lam dA)^(1/p) on the grid, as max|f| (int (|f|/max|f|)^p lam dA)^(1/p)
+    so that no power overflows or underflows."""
     _check_exponent(p)
-    return float(np.sum(proj.weighted_area * np.abs(f) ** p) ** (1.0 / p))
+    abs_f = np.abs(f)
+    top = float(np.max(abs_f, initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    return top * float(np.sum((abs_f / top) ** p, axis=1) @ proj.radial_area) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -294,32 +296,70 @@ def _check_family(family) -> list:
     return list(family)
 
 
-def _probe_norms(proj: DiscreteProjector, fn: TestFunction, p_values) -> tuple:
-    """(||f||_p, ||Pf||_p) as arrays over p_values, from fn's radial profile and modes."""
-    m = len(proj.thetas)
-    ps = np.asarray(p_values, dtype=float)
-    area = proj.weighted_area[:, 0]                     # lam_i w_i r_i dtheta
+def _log_scaled(moduli: np.ndarray) -> tuple:
+    """(top, log(moduli / top)) along the last axis; log 0 is -inf."""
+    top = moduli.max(axis=-1, keepdims=True)
+    return top[..., 0], np.log(moduli / top)
 
-    def radial_sums(modulus):                           # sum_i area_i modulus_i^p, per p
-        return np.sum(area * modulus ** ps[:, None], axis=1)
 
-    rho = np.broadcast_to(np.asarray(fn.radial(proj.radii)), proj.radii.shape)
-    folded = np.zeros(proj.n_max + 1, dtype=complex)    # a_k at grid frequency k mod M
-    for k, a in fn.modes:
-        if k % m <= proj.n_max:
-            folded[k % m] += a
-    coeffs = proj.alphas * m * folded * _contract(proj, rho[:, None])
-    tau = fn.angular(np.exp(1j * proj.thetas))
-    f_norms = (radial_sums(np.abs(rho)) * np.sum(np.abs(tau) ** ps[:, None], axis=1)) ** (1.0 / ps)
-    surviving = np.flatnonzero(coeffs)
-    if len(surviving) > 1:             # Pf = sum over the surviving n of c_n r^n e^(i n theta)
-        modes = np.exp(1j * np.outer(surviving, proj.thetas))
-        abs_pf = np.abs((coeffs[surviving] * proj.radial_powers[:, surviving]) @ modes)
-        return f_norms, np.array([lp_norm(proj, abs_pf, p) for p in p_values])
-    if len(surviving) == 1:             # |Pf| = |c_n| r^n, the same on every angle
-        n = surviving[0]
-        return f_norms, (m * radial_sums(abs(coeffs[n]) * proj.radial_powers[:, n])) ** (1.0 / ps)
-    return f_norms, np.zeros(len(ps))
+def _power_sums(log_scaled: np.ndarray, ps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k exp(p log_scaled_k) for each p, shape (P, ...); no term exceeds weights_k."""
+    return np.exp(ps.reshape(-1, *(1,) * log_scaled.ndim) * log_scaled) @ weights
+
+
+def _probe_block(proj: DiscreteProjector, fns: list, ps: np.ndarray) -> np.ndarray:
+    """||Pf||_p / ||f||_p for each p and each of the test functions fns, shape (P, len(fns)),
+    nan where f is 0 on the grid.
+
+    Each norm is its modulus's maximum times (sum of (modulus / maximum)^p)^(1/p), the powers
+    taken as exp(p log(modulus / maximum)) <= 1, so no p overflows or underflows.  ||f||_p is
+    a radial norm of the profile times an angular norm of the modes, and the modes folded to
+    their grid frequencies k mod M are the angular factor's DFT.  One contraction of the
+    profiles against r^n, for the frequencies n <= N that some member has, gives every c_n.
+    A member with at most one nonzero c_n has |Pf| = |c_n| r^n; each other member gets
+    |Pf|^2 on the grid, its log once, and one exp pass per p, all in three reused grid arrays.
+    """
+    m, area, radii = len(proj.thetas), proj.radial_area, proj.radii
+    ones = np.ones(len(radii))                          # a profile may return a scalar
+    rho = np.array([fn.radial(radii) * ones for fn in fns])
+    spectrum = np.zeros((len(fns), m), dtype=complex)
+    np.add.at(spectrum, (np.array([i for i, fn in enumerate(fns) for _ in fn.modes], dtype=int),
+                         np.array([k % m for fn in fns for k, _ in fn.modes], dtype=int)),
+              np.array([a for fn in fns for _, a in fn.modes], dtype=complex))
+    rho_top, rho_log = _log_scaled(np.abs(rho))
+    tau_top, tau_log = _log_scaled(np.abs(np.fft.ifft(spectrum, axis=1)) * m)
+    f_sums = _power_sums(rho_log, ps, area) * _power_sums(tau_log, ps, np.ones(m))
+
+    cols = np.flatnonzero(spectrum[:, :proj.n_max + 1].any(axis=0))
+    powers = radii[:, None] ** cols
+    coeffs = proj.alphas[cols] * m * spectrum[:, cols] * (rho @ (area[:, None] * powers))
+    nonzero = coeffs != 0.0
+    # at most one nonzero c_n: |Pf| = |c_n| r^n on every angle, largest at the outermost radius
+    degree = np.max(np.where(nonzero, cols, 0), axis=1, initial=0)
+    pf_top = np.max(np.abs(coeffs), axis=1, initial=0.0) * radii.max() ** degree
+    pf_sums = m * _power_sums(degree[:, None] * np.log(radii / radii.max()), ps, area)
+    multi = np.flatnonzero(nonzero.sum(axis=1) > 1)
+    if len(multi):                                      # grid arrays every such member reuses
+        pf = np.empty((len(radii), m), dtype=complex)
+        log_q, buf = np.empty((2, len(radii), m))
+    for i in multi:                                     # Pf = sum of c_n r^n e^(i n theta)
+        keep = nonzero[i]
+        c = coeffs[i, keep]
+        scale = np.abs(c).max()
+        np.matmul((c / scale) * powers[:, keep], np.exp(1j * np.outer(cols[keep], proj.thetas)),
+                  out=pf)
+        np.square(pf.real, out=log_q)
+        log_q += np.square(pf.imag, out=buf)
+        np.log(log_q, out=log_q)
+        top = log_q.max()
+        log_q -= top
+        pf_top[i] = scale * math.exp(0.5 * top)
+        for j, p in enumerate(ps):
+            np.multiply(log_q, 0.5 * p, out=buf)
+            pf_sums[j, i] = np.exp(buf, out=buf).sum(axis=1) @ area
+    f_top = rho_top * tau_top
+    ratios = pf_top / f_top * (pf_sums / f_sums) ** (1.0 / ps[:, None])
+    return np.where(f_top > 0.0, ratios, np.nan)
 
 
 def lp_probe(weight, p_values, n_max: int = 40, radial_per_segment: int = 200,
@@ -327,21 +367,28 @@ def lp_probe(weight, p_values, n_max: int = 40, radial_per_segment: int = 200,
     """Lower-bound probe of ||P||_{L^p(lam)}: max over the family of
     ||Pf||_p / ||f||_p.  A witness of boundedness only -- no claim of
     computing the true operator norm.  family is a list of
-    (name, TestFunction) pairs, default_family(n_max) by default."""
+    (name, TestFunction) pairs, default_family(n_max) by default; a
+    function that is 0 on the grid gets the ratio None."""
     p_values = [_check_exponent(p) for p in p_values]
     fam = _check_family(family if family is not None else default_family(n_max))
     proj = build_projector(weight, n_max, radial_per_segment, angular)
-    norms = [(name, *_probe_norms(proj, fn, p_values)) for name, fn in fam]
+    ps = np.asarray(p_values, dtype=float)
+    r, m = len(proj.radii), len(proj.thetas)
+    # members per block: its (P, block, R) and (P, block, M) arrays hold at most two grids
+    block = max(1, 2 * r * m // (len(ps) * (r + m)))
+    ratios = np.empty((len(ps), len(fam)))
+    # log 0 and p log(x) for large p are -inf, which exp takes to 0; 0/0 marks f = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, len(fam), block):
+            ratios[:, lo:lo + block] = _probe_block(proj, [fn for _, fn in fam[lo:lo + block]], ps)
     results = []
     label = weight.label()
-    for i, p in enumerate(p_values):
-        rows = []
-        for name, f_norms, pf_norms in norms:
-            f_norm = float(f_norms[i])
-            rows.append((name, float(pf_norms[i]) / f_norm if f_norm != 0.0 else None))
+    for p, row in zip(p_values, ratios.tolist()):
+        rows = tuple((name, None if math.isnan(ratio) else ratio)
+                     for (name, _), ratio in zip(fam, row))
         best = max([0.0] + [ratio for _, ratio in rows if ratio is not None])
         results.append(ProbeResult(weight_label=label, p=float(p), n_max=n_max,
-                                   max_ratio=best, rows=tuple(rows)))
+                                   max_ratio=best, rows=rows))
     return results
 
 

@@ -197,6 +197,8 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["inflate-check", "--step", "18,0.25", "--z", "0.4", "--t", "0.3", "--tol", "-1"], None),
     (["repro-all", "--only", "dirac", "--perturb", "nan"], None),
     (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", ""], None),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "0"], None),
     *[(["moments", "--weight", "{file}", "-N", "2"], bad) for bad in (
         {"type": "step"},
         {"type": "step", "segments": [[1.0]]},
@@ -217,7 +219,8 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
         "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
         "kernel-eval-origin-negative-tol", "inflate-check-negative-tol", "repro-all-nan-perturb",
-        "repro-all-perturb-minus-1", "weight-step-no-segments", "weight-step-short-segment",
+        "repro-all-perturb-minus-1", "lp-probe-empty-p", "lp-probe-radial-0",
+        "weight-step-no-segments", "weight-step-short-segment",
         "weight-step-segments-not-a-list", "weight-sampled-no-values", "weight-dirac-no-mass",
         "weight-constant-list-value", "weight-sampled-null-value"])
 def test_usage_errors_exit_2_with_message(argv, payload, tmp_path, capsys):
@@ -256,12 +259,16 @@ def _assert_one_error_line(captured):
     (["find-zeros", "--rho", "0.9"], 2, "error: one of --weight/--step is required"),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--functions", "{file}"], 2,
      "error: --functions: "),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", ""], 2,
+     "error: --p: could not convert string to float: ''"),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "0"], 2, "error: --radial: "),
     (["dirac", "--k", "2", "--out", "{missing}/x.json"], 2, "nope.json"),
     (["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--out", "{directory}"], 2,
      "Is a directory"),
 ], ids=["kernel-eval-tolerance", "moments-quadrature", "inflate-check-tolerance",
         "find-zeros-bad-step", "find-zeros-missing-weight", "find-zeros-no-weight",
-        "lp-probe-functions-object", "dirac-missing-out-dir", "find-zeros-out-is-directory"])
+        "lp-probe-functions-object", "lp-probe-empty-p", "lp-probe-radial-0",
+        "dirac-missing-out-dir", "find-zeros-out-is-directory"])
 def test_every_failure_is_one_error_line(argv, status, needle, tmp_path, capsys):
     spec_file = tmp_path / "input.json"
     spec_file.write_text("{}")
@@ -694,6 +701,21 @@ def test_moments_closed_form_csv_bytes(argv, label, rows, capsys):
         f"# moments of {label}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; alpha_n = 1/mu_n; "
         f"units true: alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)\n"
         "n,mu,alpha,method,err\n" + "".join(row + "\n" for row in rows))
+
+
+def test_moments_csv_bytes_at_2000_terms(tmp_path, capsys):
+    # the rows reach the CSV writer one at a time; every byte is the row format of the table
+    table = bergkern.cli.moment_table(StepWeight.from_plateau(18.0, 0.25), 2000)
+    want = ("# moments of step[(0.25,18),(1,1)]; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; "
+            "alpha_n = 1/mu_n; units true: alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)\n"
+            "n,mu,alpha,method,err\n" + "".join(
+                f"{n},{mu!r},{alpha!r},closed_form,{err!r}\n" for n, (mu, alpha, err)
+                in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist()))))
+    assert main(["moments", "--step", "18,0.25", "-N", "2000"]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "moments.csv"
+    assert main(["moments", "--step", "18,0.25", "-N", "2000", "--out", str(out)]) == 0
+    assert out.read_text() == want and want.count("\n") == 2003
 
 
 def test_inflate_check(tmp_path):

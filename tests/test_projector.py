@@ -19,7 +19,7 @@ PI = math.pi
 # --------------------------------------------------------------------------
 
 def reference_monomial_inner(proj, f):
-    w = proj.weighted_area * f
+    w = proj.radial_area[:, None] * f
     conj_grid = np.conj(proj.grid)
     out = np.empty(proj.n_max + 1, dtype=complex)
     power = np.ones_like(conj_grid)
@@ -188,7 +188,7 @@ def test_projector_guards():
 
 def test_grid_arrays_computed_once(proj_step):
     assert proj_step.grid is proj_step.grid
-    assert proj_step.weighted_area is proj_step.weighted_area
+    assert proj_step.radial_area is proj_step.radial_area
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -289,6 +289,23 @@ _PROBE_SPECS = st.one_of(
 )
 
 
+def _trig_radial_product(data, n_max, annihilated):
+    """A random trig x radial product.  Its modes stay apart on every admissible grid; when
+    annihilated they are -3N-3..-1, which every grid of M >= 4N+4 angles folds above N."""
+    low, high = (-3 * n_max - 3, -1) if annihilated else (-2 * n_max - 1, 2 * n_max + 1)
+    ks = data.draw(st.lists(st.integers(min_value=low, max_value=high),
+                            min_size=1, max_size=8, unique=True))
+    coeffs = data.draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+                                min_size=len(ks), max_size=len(ks)))
+    d = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4))
+    return TestFunction(lambda r: sum(dj * r ** j for j, dj in enumerate(d)),
+                        tuple(zip(ks, coeffs)))
+
+
+_ZERO_FUNCTIONS = (TestFunction(lambda r: 0.0 * r, ((0, 1.0), (2, 0.5))),
+                   TestFunction(lambda r: 1.0 + r, ()))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(weight=st.one_of(
            st.builds(StepWeight.from_plateau, st.floats(min_value=0.2, max_value=30.0),
@@ -299,20 +316,20 @@ _PROBE_SPECS = st.one_of(
        radial=st.integers(min_value=8, max_value=40),
        p_values=st.lists(st.floats(min_value=1.05, max_value=8.0), min_size=1, max_size=4),
        specs=st.lists(_PROBE_SPECS, min_size=0, max_size=6),
+       counts=st.tuples(*[st.integers(min_value=0, max_value=k) for k in (3, 2, 2)]),
        data=st.data())
 def test_probe_matches_dense_reference(weight, n_max, extra_angles, radial, p_values, specs,
-                                       data):
+                                       counts, data):
+    # monomials, conjugates, radial profiles, trig x radial products, functions that are 0 on
+    # the grid and functions the projection annihilates, in a random order
     angular = None if extra_angles is None else 4 * n_max + 4 + extra_angles
-    # one random trig x radial product; its modes stay apart on every admissible grid
-    ks = data.draw(st.lists(st.integers(min_value=-2 * n_max - 1, max_value=2 * n_max + 1),
-                            min_size=1, max_size=8, unique=True))
-    coeffs = data.draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
-                                min_size=len(ks), max_size=len(ks)))
-    d = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4))
-    random_fn = TestFunction(lambda r: sum(dj * r ** j for j, dj in enumerate(d)),
-                             tuple(zip(ks, coeffs)))
+    n_multi, n_zero, n_annihilated = counts
     family = [(name, fn) for fn, name in map(function_from_spec, specs)]
-    family.append(("random", random_fn))
+    family += [(f"random_{i}", _trig_radial_product(data, n_max, False)) for i in range(n_multi)]
+    family += [(f"zero_{i}", data.draw(st.sampled_from(_ZERO_FUNCTIONS))) for i in range(n_zero)]
+    family += [(f"annihilated_{i}", _trig_radial_product(data, n_max, True))
+               for i in range(n_annihilated)]
+    family = data.draw(st.permutations(family))
     got = lp_probe(weight, p_values, n_max=n_max, radial_per_segment=radial, angular=angular,
                    family=family)
     want = reference_lp_probe(weight, p_values, n_max, radial, angular, family)
@@ -324,6 +341,52 @@ def test_probe_matches_dense_reference(weight, n_max, extra_angles, radial, p_va
                 assert ratio == pytest.approx(ref, rel=1e-12)
             elif ref is not None:
                 assert ratio == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(weight=st.sampled_from(REFERENCE_WEIGHTS), n_max=st.integers(min_value=0, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       p_values=st.lists(st.floats(min_value=1.05, max_value=1e308), min_size=1, max_size=4))
+def test_probe_ratios_stay_finite_at_large_p(weight, n_max, seed, p_values):
+    for res in lp_probe(weight, [*p_values, 1e308], n_max=n_max, radial_per_segment=16,
+                        family=default_family(n_max, seed)):
+        for name, ratio in res.rows:
+            assert ratio is not None and math.isfinite(ratio), (res.p, name, ratio)
+            if name.startswith("z^"):
+                assert abs(ratio - 1.0) <= 1e-9, (res.p, name, ratio)
+            if name.startswith("conj"):
+                assert ratio <= 1e-9, (res.p, name, ratio)
+
+
+@pytest.mark.parametrize("weight", REFERENCE_WEIGHTS, ids=lambda w: w.label())
+def test_probe_at_the_largest_p_is_the_ratio_of_maxima(weight):
+    # (sum of (|g|/max|g|)^p lam dA)^(1/p) is 1 at p = 1e308, so each ratio is max|Pf|/max|f|
+    family = default_family(12, seed=5)
+    got = lp_probe(weight, [1e308], n_max=12, radial_per_segment=30, family=family)[0]
+    proj = build_projector(weight, 12, 30)
+    for (name, ratio), (_, fn) in zip(got.rows, family):
+        samples = fn(proj.grid)
+        want = np.max(np.abs(project(proj, samples).values)) / np.max(np.abs(samples))
+        assert ratio == pytest.approx(want, rel=1e-12, abs=1e-12), name
+
+
+def test_probe_blocks_keep_memory_to_the_grid(const1):
+    # 4000 functions on a 40 x 48 grid: the stacked arrays of a block hold at most two grids,
+    # so the peak is the result rows and not a (P, 4000, M) array of 6 MB
+    family = [(f"z^{k % 9}", function_from_spec({"type": "monomial", "m": k % 9})[0])
+              for k in range(4000)]
+    lp_probe(const1, [2.0], n_max=10, radial_per_segment=40, family=family[:10])
+    tracemalloc.start()
+    try:
+        res = lp_probe(const1, [1.5, 2.0, 3.0, 4.0], n_max=10, radial_per_segment=40,
+                       family=family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    for r in res:
+        assert [name for name, _ in r.rows] == [name for name, _ in family]
+        assert all(abs(ratio - 1.0) <= 1e-12 for _, ratio in r.rows)
 
 
 def test_probe_folds_many_modes_onto_the_grid(step18):
