@@ -8,7 +8,7 @@ projection with exact monomial orthogonality on its grid.
 
 __version__ = "0.1.0"
 
-from .kernel import KernelValue, ToleranceError, diagonal_poly, kernel_eval, tail_bound
+from .kernel import KernelValue, ToleranceError, diagonal_poly, kernel_eval
 from .regularity import (CoefficientConditions, SchurIntegral, SchurReport,
                          coefficient_conditions, log_beta, schur_bound_check, schur_integral,
                          schur_integral_quadrature)
@@ -31,7 +31,7 @@ __all__ = [
     "MomentTable", "WeightError", "QuadratureError",
     "alphas_closed_form", "moment_quadrature", "moment_table",
     "weight_from_json", "weight_to_json", "load_weight",
-    "KernelValue", "ToleranceError", "tail_bound", "kernel_eval", "diagonal_poly",
+    "KernelValue", "ToleranceError", "kernel_eval", "diagonal_poly",
     "SecondDifferenceSummary", "RoucheCertificate", "ZeroReport", "SweepCell",
     "DiracZeroResult", "InflationCheck",
     "second_difference_bound", "rouche_certificate", "auto_rouche_epsilon",

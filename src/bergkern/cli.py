@@ -19,9 +19,9 @@ its own parse errors.  Any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -100,13 +100,14 @@ def emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def emit_csv(comment: str, header: list, rows: list, out: str | None) -> None:
-    buf = io.StringIO()
-    buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), out)
+def emit_csv(comment: str, header: list, rows, out: str | None) -> None:
+    """Write the rows to ``out`` or stdout as they come; a command computes every number
+    before it calls this, so a failing command still leaves ``out`` unwritten."""
+    with (open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +123,25 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
+CSV_CHUNK = 1 << 14     # table rows turned into Python objects at a time while written
+
+
+def _moment_rows(table):
+    columns = (table.mus, table.alphas, table.errs)
+    for lo in range(0, len(table.mus), CSV_CHUNK):
+        chunk = zip(*(column[lo:lo + CSV_CHUNK].tolist() for column in columns))
+        for n, (mu, alpha, err) in enumerate(chunk, lo):
+            yield [n, repr(mu), repr(alpha), table.method, repr(err)]
+
+
 def _cmd_moments(args) -> int:
     weight = resolve_weight(args)
     if args.n_terms > MAX_TERMS:
         raise ValueError(f"-N {args.n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
     table = moment_table(weight, args.n_terms, tol=args.tol, method=args.method)
-    rows = ([n, repr(mu), repr(alpha), table.method, repr(err)] for n, (mu, alpha, err)
-            in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist())))
     emit_csv(f"moments of {weight.label()}; mu_n = 2*pi*int_0^1 r^(2n+1) lam(r) dr; "
              f"alpha_n = 1/mu_n; units {TRUE_UNITS}",
-             ["n", "mu", "alpha", "method", "err"], rows, args.out)
+             ["n", "mu", "alpha", "method", "err"], _moment_rows(table), args.out)
     return 0
 
 
@@ -264,8 +274,11 @@ def _cmd_coeff_check(args) -> int:
     return 0
 
 
+LP_GRID_FLAGS = {"n_max": "-N", "radial_per_segment": "--radial", "angular": "--angular"}
+
+
 def _cmd_lp_probe(args) -> int:
-    from .projector import default_family, function_from_spec, lp_probe
+    from .projector import GridError, default_family, function_from_spec, lp_probe
     weight = resolve_weight(args)
     if args.functions:
         try:
@@ -284,8 +297,11 @@ def _cmd_lp_probe(args) -> int:
         raise ValueError(f"--p: {exc}") from None
     if args.radial < 1:
         raise ValueError(f"--radial: need at least 1 node per segment, got {args.radial}")
-    results = lp_probe(weight, p_values, n_max=args.n_terms,
-                       radial_per_segment=args.radial, angular=args.angular, family=family)
+    try:
+        results = lp_probe(weight, p_values, n_max=args.n_terms,
+                           radial_per_segment=args.radial, angular=args.angular, family=family)
+    except GridError as exc:
+        raise ValueError(f"{'/'.join(LP_GRID_FLAGS[p] for p in exc.params)}: {exc}") from None
     rows = []
     for res in results:
         for name, ratio in res.rows:

@@ -4,21 +4,18 @@ For a radial weight the kernel is K(z,w) = sum_n alpha_n (z*conj(w))^n,
 a power series in the single variable t = z*conj(w).  We work with the
 one-variable function F(t) = sum_n alpha_n t^n throughout and expose
 
-* a closed-form tail majorant from the comparability sandwich
-  alpha_n <= C*(n+1)/pi,
-* point evaluation with the truncation order chosen so the tail bound
-  meets the requested tolerance,
+* the smallest truncation order at which a given tail majorant meets a tolerance,
+* point evaluation truncated there for the weight's own ``series_tail(rho, n)``,
 * the polynomial (1-t)^2 * (partial sum), whose interior coefficients are
   the second differences of the alpha sequence.
 
 Every routine takes the weight itself: coefficients come from
-``weight.alphas(n)`` and the tail constant C from ``weight.alpha_bound``.
+``weight.alphas(n)`` and the tail majorant from ``weight.series_tail``.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,29 +27,14 @@ class ToleranceError(RuntimeError):
     """Requested truncation tolerance unreachable within the term budget."""
 
 
-def tail_bound(c: float, rho: float, n: int) -> float:
-    """Majorant of |sum_{k>n} alpha_k t^k| on |t| <= rho.
-
-    Uses alpha_k <= c*(k+1)/pi and the exact arithmetico-geometric tail
-    sum_{k>n} (k+1) rho^k = rho^(n+1) * ((n+2) - (n+1) rho) / (1-rho)^2.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"tail bound needs rho in [0,1), got {rho}")
-    if rho == 0.0:
-        return 0.0
-    return (c / math.pi) * rho ** (n + 1) * ((n + 2) - (n + 1) * rho) / (1.0 - rho) ** 2
-
-
-def terms_for_tolerance(c: float, rho: float, tol: float) -> int:
-    """Smallest n <= MAX_TERMS with tail_bound(c, rho, n) <= tol (monotone in n)."""
+def terms_for_tolerance(tail, rho: float, tol: float) -> int:
+    """Smallest n <= MAX_TERMS with tail(rho, n) <= tol, for a tail majorant decreasing in n."""
     if not tol > 0.0:   # also rejects nan
         raise ValueError("tol must be positive")
-    if rho == 0.0:
-        return 0
-    achieved = tail_bound(c, rho, MAX_TERMS)
+    achieved = tail(rho, MAX_TERMS)
     if achieved > tol:
         raise ToleranceError(f"tail bound {achieved:.3e} at {MAX_TERMS} terms exceeds tol {tol:.3e}")
-    return bisect.bisect_left(range(MAX_TERMS + 1), True, key=lambda n: tail_bound(c, rho, n) <= tol)
+    return bisect.bisect_left(range(MAX_TERMS + 1), True, key=lambda n: tail(rho, n) <= tol)
 
 
 @dataclass(frozen=True)
@@ -67,10 +49,10 @@ def eval_diagonal(weight, t: complex, tol: float = 1e-12) -> KernelValue:
     rho = abs(t)
     if rho >= 1.0:
         raise ValueError(f"|t| must be < 1, got {rho}")
-    n = terms_for_tolerance(weight.alpha_bound, rho, tol)
+    n = terms_for_tolerance(weight.series_tail, rho, tol)
     coeffs = weight.alphas(n)
     val = complex(np.polynomial.polynomial.polyval(complex(t), coeffs.astype(complex)))
-    return KernelValue(value=val, err_bound=tail_bound(weight.alpha_bound, rho, n), n_used=n)
+    return KernelValue(value=val, err_bound=weight.series_tail(rho, n), n_used=n)
 
 
 def kernel_eval(weight, z: complex, w: complex, tol: float = 1e-12) -> KernelValue:

@@ -56,6 +56,14 @@ from .weights import MAX_TERMS, DiracAugmentedWeight, _leggauss
 MAX_GRID_POINTS = 1 << 21   # caps R*M, and (nodes per segment)^2: each Gauss rule's matrix
 
 
+class GridError(ValueError):
+    """A grid that ``build_projector`` refuses; ``params`` names the arguments at fault."""
+
+    def __init__(self, params: tuple, message: str):
+        super().__init__(message)
+        self.params = params
+
+
 @dataclass(frozen=True)
 class DiscreteProjector:
     weight: object
@@ -98,17 +106,18 @@ def build_projector(weight, n_max: int, radial_per_segment: int = 200,
     if isinstance(weight, DiracAugmentedWeight):
         raise ValueError("the discrete projector needs a function weight")
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise GridError(("n_max",), "n_max must be >= 0")
     edges = sorted({0.0, 1.0, *(b for b in weight.breakpoints if 0.0 < b < 1.0)})
     n_seg = len(edges) - 1
     per = radial_per_segment if n_seg <= 6 else max(8, (radial_per_segment * 6) // n_seg)
     m = angular if angular is not None else 4 * n_max + 8
     if m < 4 * n_max + 4:
-        raise ValueError(f"need at least {4 * n_max + 4} angular nodes for exact "
-                         f"monomial orthogonality at degree {n_max}, got {m}")
+        raise GridError(("angular",), f"need at least {4 * n_max + 4} angular nodes for exact "
+                                      f"monomial orthogonality at degree {n_max}, got {m}")
     if n_seg * per * m > MAX_GRID_POINTS or per * per > MAX_GRID_POINTS:
-        raise ValueError(f"{n_seg}x{per} radial by {m} angular nodes exceed the grid limit "
-                         f"({MAX_GRID_POINTS} points, {math.isqrt(MAX_GRID_POINTS)} per segment)")
+        raise GridError(("radial_per_segment", "angular"),
+                        f"{n_seg}x{per} radial by {m} angular nodes exceed the grid limit "
+                        f"({MAX_GRID_POINTS} points, {math.isqrt(MAX_GRID_POINTS)} per segment)")
     nodes, wts = _leggauss(per)
     radii, radial_weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):

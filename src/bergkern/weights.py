@@ -36,8 +36,9 @@ on the type:
 * ``outer_g(n_max)`` -- g_0..g_n_max, vectorised over n: one ``exp`` per step
   jump (none for a constant), one ``exp``/``expm1`` pair per sloped interval
   of a sampled weight, and mass/pi at n = 0 for the point mass;
-* ``alpha_bound`` -- sup alpha_n*pi/(n+1), the constant of every tail
-  majorant (the comparability constant; 1 for the point mass, which has none);
+* ``series_tail(rho, n)`` -- the majorant of |sum_{k>n} alpha_k t^k| on |t| <= rho behind
+  every certified truncation, from ``alpha_bound`` = sup alpha_n*pi/(n+1) (the comparability
+  constant, read once per weight; 1 for the point mass, which has none);
 * ``v_out``; ``delta_tail(n)`` -- a proven bound on sum_{m>=n} |alpha_m - (m+1)/(pi*v_out)|;
 * ``second_difference_signs(n)`` -- the signs of alpha_k - 2 alpha_{k-1} + alpha_{k-2},
   k = 2..n, and which of them are proven, or None where the shape has no proof:
@@ -59,7 +60,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -124,10 +125,20 @@ class _Weight:
     def comparability_constant(self) -> float:
         return max(max(self.values), 1.0 / min(self.values))
 
-    @property
+    @cached_property
     def alpha_bound(self) -> float:
         # the moment sandwich of a function comparable to 1 gives alpha_n <= C*(n+1)/pi
         return self.comparability_constant
+
+    def series_tail(self, rho: float, n: int) -> float:
+        """Majorant of |sum_{k>n} alpha_k t^k| on |t| <= rho: alpha_k <= C(k+1)/pi, C = alpha_bound,
+        summed exactly, sum_{k>n} (k+1) rho^k = rho^(n+1) ((n+2) - (n+1) rho)/(1-rho)^2."""
+        if not 0.0 <= rho < 1.0:
+            raise ValueError(f"tail bound needs rho in [0,1), got {rho}")
+        if rho == 0.0:
+            return 0.0
+        c = self.alpha_bound / math.pi
+        return c * rho ** (n + 1) * ((n + 2) - (n + 1) * rho) / (1.0 - rho) ** 2
 
     def second_difference_signs(self, n_cutoff: int):     # None: no proof for this shape
         return None

@@ -34,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import (ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, tail_bound,
-                     terms_for_tolerance)
+from .kernel import ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
 from .weights import _U, _gamma, SampledWeight, StepWeight, WeightError, radial_integral
 
 
@@ -322,7 +321,7 @@ def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroRepor
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
     the contour, N first where the series tail at rho falls below 1e-4 alpha_0
     (``terms_for_tolerance``); certification requires the proven lower bound of its modulus
-    there to exceed tail_bound(rho, N) * (1+rho)^2, in which case Rouche
+    there to exceed weight.series_tail(rho, N) * (1+rho)^2, in which case Rouche
     transfers the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in
     the disc; nothing is subtracted since rho < 1).  A sampled minimum below
     that margin deepens the truncation.  If the contour passes too near a
@@ -339,13 +338,13 @@ def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroRepor
         if not 0.0 < rho_try < 1.0:
             continue
         try:
-            n = terms_for_tolerance(weight.alpha_bound, rho_try, 1e-4 * alpha0)
+            n = terms_for_tolerance(weight.series_tail, rho_try, 1e-4 * alpha0)
         except ToleranceError as exc:
             last_note = f"truncation selection failed at rho={rho_try}: {exc}"
             continue
         n = max(n, 8)
         while True:
-            tail = tail_bound(weight.alpha_bound, rho_try, n)
+            tail = weight.series_tail(rho_try, n)
             margin = tail * (1.0 + rho_try) ** 2
             values, dvalues, winding, bound, samples = _contour(
                 diagonal_poly(weight, n), rho_try, margin)
@@ -537,10 +536,10 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
     if abs(z) >= 1.0 or abs(t) >= 1.0:
         raise ValueError("z and t must lie inside the unit disc")
     q = complex(z) * np.conj(complex(t))
-    c = weight.alpha_bound
     try:    # each series gets tol/100; a failure names the tol given
-        # terms are bounded by (c/pi^2)(m+1)|q|^m, so reuse the series tail rule
-        m_used = terms_for_tolerance(c / math.pi, abs(q), tol * 1e-2) if q != 0 else 0
+        # its terms alpha_m q^m/pi are the kernel series' over pi, and so is its tail
+        m_used = terms_for_tolerance(lambda r, m: weight.series_tail(r, m) / math.pi, abs(q),
+                                     tol * 1e-2) if q != 0 else 0
         norms = reinhardt_monomial_norm(weight, np.arange(m_used + 1)).tolist()
         lhs = complex(sum(q ** m / norm for m, norm in enumerate(norms)))
         rhs = kernel_eval(weight, complex(z), complex(t), tol=tol * 1e-2).value / math.pi

@@ -199,6 +199,9 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", ""], None),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "0"], None),
+    (["lp-probe", "--step", "18,0.25", "-N", "-1"], None),
+    (["lp-probe", "--step", "18,0.25", "--angular", "5"], None),
+    (["lp-probe", "--step", "18,0.25", "--radial", "100000"], None),
     *[(["moments", "--weight", "{file}", "-N", "2"], bad) for bad in (
         {"type": "step"},
         {"type": "step", "segments": [[1.0]]},
@@ -220,6 +223,7 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
         "kernel-eval-origin-negative-tol", "inflate-check-negative-tol", "repro-all-nan-perturb",
         "repro-all-perturb-minus-1", "lp-probe-empty-p", "lp-probe-radial-0",
+        "lp-probe-negative-degree", "lp-probe-too-few-angular", "lp-probe-grid-limit",
         "weight-step-no-segments", "weight-step-short-segment",
         "weight-step-segments-not-a-list", "weight-sampled-no-values", "weight-dirac-no-mass",
         "weight-constant-list-value", "weight-sampled-null-value"])
@@ -262,12 +266,18 @@ def _assert_one_error_line(captured):
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", ""], 2,
      "error: --p: could not convert string to float: ''"),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "0"], 2, "error: --radial: "),
+    (["lp-probe", "--step", "18,0.25", "-N", "-1"], 2, "error: -N: n_max must be >= 0\n"),
+    (["lp-probe", "--step", "18,0.25", "--angular", "5"], 2,
+     "error: --angular: need at least 244 angular nodes"),
+    (["lp-probe", "--step", "18,0.25", "--radial", "100000"], 2,
+     "error: --radial/--angular: 2x100000 radial by 248 angular nodes exceed the grid limit"),
     (["dirac", "--k", "2", "--out", "{missing}/x.json"], 2, "nope.json"),
     (["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--out", "{directory}"], 2,
      "Is a directory"),
 ], ids=["kernel-eval-tolerance", "moments-quadrature", "inflate-check-tolerance",
         "find-zeros-bad-step", "find-zeros-missing-weight", "find-zeros-no-weight",
         "lp-probe-functions-object", "lp-probe-empty-p", "lp-probe-radial-0",
+        "lp-probe-negative-degree", "lp-probe-too-few-angular", "lp-probe-grid-limit",
         "dirac-missing-out-dir", "find-zeros-out-is-directory"])
 def test_every_failure_is_one_error_line(argv, status, needle, tmp_path, capsys):
     spec_file = tmp_path / "input.json"
@@ -716,6 +726,28 @@ def test_moments_csv_bytes_at_2000_terms(tmp_path, capsys):
     out = tmp_path / "moments.csv"
     assert main(["moments", "--step", "18,0.25", "-N", "2000", "--out", str(out)]) == 0
     assert out.read_text() == want and want.count("\n") == 2003
+
+
+def test_moments_csv_rows_cross_chunk_boundaries(monkeypatch, capsys):
+    # rows are converted CSV_CHUNK at a time; six chunks and a part give the same bytes as one
+    assert main(["moments", "--step", "18,0.25", "-N", "44"]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(bergkern.cli, "CSV_CHUNK", 7)
+    assert main(["moments", "--step", "18,0.25", "-N", "44"]) == 0
+    assert capsys.readouterr().out.splitlines() == whole.splitlines()
+
+
+def test_moments_csv_streams_in_bounded_memory(tmp_path):
+    # the rows go to the file as they are formatted, so the peak stays a few times the
+    # table's 24 bytes a row, while the file holds about 65 bytes a row
+    n, out = 60_000, tmp_path / "moments.csv"
+    tracemalloc.start()
+    try:
+        assert main(["moments", "--step", "18,0.25", "-N", str(n), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 60 * n and peak < 4 * 24 * n
 
 
 def test_inflate_check(tmp_path):

@@ -11,7 +11,7 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, SampledWeight, StepW
                       auto_rouche_epsilon, diagonal_poly, count_zeros_winding, dirac_kernel_value,
                       dirac_zero_threshold, inflation_check, mollify_weight,
                       reinhardt_monomial_norm, rouche_certificate, second_difference_bound,
-                      tail_bound, WeightError, kernel, sweep_step_weights, zeros)
+                      WeightError, kernel, sweep_step_weights, zeros)
 from bergkern.zeros import min_affine_modulus_on_circle
 from rational_oracle import second_difference_signs, step_alpha_pi_fraction
 
@@ -480,7 +480,7 @@ def test_brute_force_minimum_on_small_disc(step18):
     rr = np.linspace(0, 0.3, 151)
     th = np.linspace(0, PI, 301)
     pts = (rr[:, None] * np.exp(1j * th[None, :])).ravel()
-    floor = float(np.min(np.abs(_polyval(pts, coeffs)))) - tail_bound(step18.alpha_bound, 0.3, 200)
+    floor = float(np.min(np.abs(_polyval(pts, coeffs)))) - step18.series_tail(0.3, 200)
     assert floor > 0.03
 
 
