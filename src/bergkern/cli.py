@@ -30,12 +30,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .kernel import MAX_TERMS, ToleranceError, kernel_eval
+from .kernel import MAX_TERMS, ToleranceError, _check_in_disc, kernel_eval
 from .regularity import coefficient_conditions, schur_bound_check
 from .weights import ConstantWeight, QuadratureError, StepWeight, load_weight, moment_table
-from .zeros import (auto_rouche_epsilon, count_zeros_winding, dirac_zero_threshold,
-                    inflation_check, rouche_certificate, second_difference_bound,
-                    sweep_step_weights)
+from .zeros import (_check_radius, auto_rouche_epsilon, count_zeros_winding,
+                    dirac_zero_threshold, inflation_check, rouche_certificate,
+                    second_difference_bound, sweep_step_weights)
 
 TRUE_UNITS = "true: alpha_n = 1/(2*pi*int_0^1 r^(2n+1) lam(r) dr)"
 SCALED_UNITS = "scaled: true-unit coefficients multiplied by 2*pi for display"
@@ -83,6 +83,14 @@ def resolve_weight(args):
         raise ValueError(f"{'--step' if args.step else '--weight'}: {exc}") from None
 
 
+def _check_flag(flag: str, check, *values):
+    """check(*values), a ValueError it raises prefixed by the flag that gave the values."""
+    try:
+        return check(*values)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -116,6 +124,7 @@ def emit_csv(comment: str, header: list, rows, out: str | None) -> None:
 
 def _cmd_kernel_eval(args) -> int:
     weight = resolve_weight(args)
+    _check_flag("--z/--w", _check_in_disc, "z and w", args.z, args.w)
     result = kernel_eval(weight, args.z, args.w, tol=args.tol)
     emit_json({"value_re": result.value.real, "value_im": result.value.imag,
                "err_bound": result.err_bound, "N_used": result.n_used,
@@ -147,6 +156,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_find_zeros(args) -> int:
     weight = resolve_weight(args)
+    _check_flag("--rho", _check_radius, args.rho)
     report = count_zeros_winding(weight, args.rho, locate=not args.no_locate)
     emit_json({
         "weight": report.weight_label, "rho": report.rho, "rho_used": report.rho_used,
@@ -188,6 +198,7 @@ def _cmd_sweep(args) -> int:
     if len(args.A) * len(args.x) > MAX_RANGE_POINTS:
         raise ValueError(f"sweep grid of {len(args.A)} x {len(args.x)} cells exceeds "
                          f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
+    _check_flag("--rho", _check_radius, args.rho)
     cells = sweep_step_weights(args.A, args.x, rho=args.rho)
     rows = [[f"{c.plateau:.10g}", f"{c.split:.10g}", f"{c.rho:.10g}",
              "" if c.zero_count is None else c.zero_count,
@@ -207,6 +218,7 @@ def _cmd_dirac(args) -> int:
 
 def _cmd_inflate_check(args) -> int:
     weight = resolve_weight(args)
+    _check_flag("--z/--t", _check_in_disc, "z and t", args.z, args.t)
     chk = inflation_check(weight, args.z, args.t, tol=args.tol)
     emit_json({"lhs_re": chk.lhs.real, "lhs_im": chk.lhs.imag,
                "rhs_re": chk.rhs.real, "rhs_im": chk.rhs.imag,
@@ -278,7 +290,7 @@ LP_GRID_FLAGS = {"n_max": "-N", "radial_per_segment": "--radial", "angular": "--
 
 
 def _cmd_lp_probe(args) -> int:
-    from .projector import GridError, default_family, function_from_spec, lp_probe
+    from .projector import GridError, _check_exponent, default_family, function_from_spec, lp_probe
     weight = resolve_weight(args)
     if args.functions:
         try:
@@ -291,10 +303,7 @@ def _cmd_lp_probe(args) -> int:
             raise ValueError(f"--functions: {exc}") from None
     else:
         family = default_family(args.n_terms, seed=args.seed)
-    try:
-        p_values = [float(p) for p in args.p.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--p: {exc}") from None
+    p_values = _check_flag("--p", lambda: [_check_exponent(float(p)) for p in args.p.split(",")])
     if args.radial < 1:
         raise ValueError(f"--radial: need at least 1 node per segment, got {args.radial}")
     try:

@@ -55,10 +55,16 @@ def eval_diagonal(weight, t: complex, tol: float = 1e-12) -> KernelValue:
     return KernelValue(value=val, err_bound=weight.series_tail(rho, n), n_used=n)
 
 
+def _check_in_disc(names: str, *points) -> None:
+    """Raise ValueError unless every point lies inside the unit disc (a NaN does not)."""
+    if not all(abs(p) < 1.0 for p in points):
+        got = ", ".join(map(str, points))
+        raise ValueError(f"{names} must lie inside the unit disc, got {got}")
+
+
 def kernel_eval(weight, z: complex, w: complex, tol: float = 1e-12) -> KernelValue:
     """Two-point kernel value K(z,w) = F(z*conj(w)) with certified error."""
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise ValueError("z and w must lie inside the unit disc")
+    _check_in_disc("z and w", z, w)
     return eval_diagonal(weight, z * np.conj(w), tol=tol)
 
 

@@ -215,7 +215,7 @@ class StepWeight(_Weight):
             g[:m] += c * np.exp(p[:m] * math.log(b))
         return g
 
-    @property
+    @cached_property
     def _geometric_bound(self):     # G the jumps' total size, q the last interior breakpoint squared
         q = self.breakpoints[-2] ** 2 if len(self.breakpoints) > 1 else 0.0
         return sum(abs(c) for c, _ in self._jumps()), q
@@ -340,7 +340,7 @@ class SampledWeight(_Weight):
                 g[:m] += s * np.exp(q[:m] * log_b) * np.expm1(q[:m] * -lr)
         return g / q
 
-    @property
+    @cached_property
     def _geometric_bound(self):     # |lam - v_out| <= G = max_i |v_i - v_out| on [0, r_last]
         return max(abs(v - self.v_out) for v in self.values), self.radii[-1] ** 2
 

@@ -15,11 +15,16 @@ produce zeros.  Two independent mechanisms are implemented:
 * an argument-principle counter: the winding number of the truncated
   polynomial (1-t)^2 P_N(t) along |t| = rho counts the zeros of F inside,
   certified whenever a proven lower bound on the contour modulus exceeds
-  the series tail bound times (1+rho)^2.  One FFT pair of the polynomial
-  and its derivative on the contour gives the winding, that bound (the
-  samples, a second-order Taylor bound between them and the FFT's
-  rounding) and the contour moments from which the counted zeros are
-  located, before a Newton polish; no companion roots.
+  the series tail bound times (1+rho)^2.  The polynomial is built from the
+  weight's outer tail, alpha_n = (n+1)/(pi v_out) + delta_n: a closed-form
+  linear part and the second differences of the first few delta_n, short
+  where delta_n decays, with a bound on what the cut leaves out.  Its
+  coefficients are real, so one real FFT of the polynomial and one of its
+  derivative sample the upper half of the contour, the mirror image of the
+  lower half; they give the winding, that bound (the samples, a
+  second-order Taylor bound between them, the FFT's rounding, the
+  coefficients' rounding and the cut) and the contour moments from which
+  the counted zeros are located, before a Newton polish; no companion roots.
 
 The counter is also the engine behind parameter sweeps, the smooth
 (mollified) plateau check, and the point-mass threshold cross-check.
@@ -27,6 +32,7 @@ The counter is also the engine behind parameter sweeps, the smooth
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -34,8 +40,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import ToleranceError, diagonal_poly, eval_diagonal, kernel_eval, terms_for_tolerance
-from .weights import _U, _gamma, SampledWeight, StepWeight, WeightError, radial_integral
+from .kernel import (ToleranceError, _check_in_disc, eval_diagonal, kernel_eval,
+                     terms_for_tolerance)
+from .weights import _TINY, _U, _gamma, SampledWeight, StepWeight, WeightError, radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -226,44 +233,94 @@ _FFT_ETA = _U + 4.0 * _U / (1.0 - 4.0 * _U) * (math.sqrt(2.0) + _U)
 MAX_CONTOUR_SAMPLES = 1 << 20     # a contour needing more passes through a zero
 NEWTON_MAX_ITER = 60              # Newton steps from one start before it is dropped
 RESIDUAL_FACTOR = 1e-9            # a located zero's |F| + tail, relative to alpha_0
+REMAINDER_FRACTION = 1e-6         # the outer-tail remainder's bound, relative to the margin
 
 
-def _contour(coeffs: np.ndarray, rho: float, margin: float):
-    """Winding number and a proven lower bound of |p| on |t| = rho, p = `coeffs`.
+def _outer_tail_poly(weight, n: int, rho: float, margin: float):
+    """(1-t)^2 P_N from the weight's outer tail: (coeffs, cut, remainder, rounding).
 
-    With s_k = c_k rho^k and h = 2 pi/m, two inverse FFTs give v_j = p(t_j) and
-    d_j = t_j p'(t_j), |d_j| = |dp/dtheta|, at t_j = rho e^(i j h).  Since
-    M2 = sum k^2 |s_k| bounds |d^2p/dtheta^2|, |p| >= min_j(|v_j| - (h/2)|d_j|) -
+    With alpha_k = (k+1)/(pi v_out) + delta_k, the linear part sums in closed form:
+        (1-t)^2 P_N = [1 - (N+2) t^(N+1) + (N+1) t^(N+2)]/(pi v_out)
+                      + (1-t)^2 sum_{k<=M} delta_k t^k + R,
+    delta_k = -((k+1)/(pi v_out)) g_k/(v_out + g_k) from ``weight.outer_g``, which
+    neither cancels nor overflows.  The cut M is the first index where the bound
+    4 rho^(M+1) delta_tail(M+1) on |R| over |t| = rho is at most REMAINDER_FRACTION
+    times `margin`; where none below N is (or delta_tail is not finite), M = N and R = 0.
+    `coeffs` has length N+3: the second differences of delta_0..delta_M, and the three
+    boundary monomials b_k at their true exponents.  `rounding` bounds, on the circle,
+    the difference between the polynomial of these float coefficients and the one they
+    stand for: gamma_4 (|delta_k| + 2|delta_(k-1)| + |delta_(k-2)| + |b_k|) rho^k summed,
+    gamma_(M+8) more for that sum and its powers.
+    """
+    delta_tail = weight.delta_tail
+    cut = bisect.bisect_left(range(n), True, key=lambda k: (
+        4.0 * rho ** (k + 1) * delta_tail(k + 1) <= REMAINDER_FRACTION * margin))
+    remainder = 4.0 * rho ** (cut + 1) * delta_tail(cut + 1) * (1.0 + 8.0 * _U) if cut < n else 0.0
+    g, v_out = weight.outer_g(cut), weight.v_out
+    delta = -(np.arange(1.0, cut + 2.0) / (math.pi * v_out)) * (g / (v_out + g))
+    boundary = np.array([1.0, -(n + 2.0), n + 1.0]) / (math.pi * v_out)
+    coeffs = np.zeros(n + 3)
+    coeffs[:cut + 3] = np.convolve(delta, (1.0, -2.0, 1.0))
+    coeffs[[0, n + 1, n + 2]] += boundary
+    sizes = (np.dot(np.convolve(np.abs(delta), (1.0, 2.0, 1.0)), rho ** np.arange(cut + 3.0))
+             + np.dot(np.abs(boundary), rho ** np.array([0.0, n + 1.0, n + 2.0])))
+    # terms below 2^-1022 round absolutely: one subnormal spacing each bounds that
+    rounding = _gamma(4) * sizes * (1.0 + _gamma(cut + 8)) + (cut + 8) * _TINY
+    return coeffs, cut, remainder, rounding
+
+
+def _contour(coeffs: np.ndarray, rho: float, margin: float, charge: float = 0.0):
+    """Winding number and a proven lower bound of |p| on |t| = rho, for any p within
+    `charge` of q there, q the polynomial with coefficients `coeffs`.
+
+    With s_k = c_k rho^k and h = 2 pi/m, two FFTs give v_j = q(t_j) and
+    d_j = t_j q'(t_j), |d_j| = |dq/dtheta|, at t_j = rho e^(i j h).  Since
+    M2 = sum k^2 |s_k| bounds |d^2q/dtheta^2|, |q| >= min_j(|v_j| - (h/2)|d_j|) -
     (h^2/8) M2 on the circle; if every |v_j| > h|d_j| + (h^2/2) M2, each arc stays in
     a disc about v_j that misses 0, so the principal phase steps sum to 2 pi times
-    the winding.  v and d carry the FFT's per-sample rounding (with its sqrt(m)) and
-    that of s_k.  m, first the power of two >= max(4096, deg+1), doubles up to
-    MAX_CONTOUR_SAMPLES while the sampled minimum clears `margin` but the bound does
-    not.  Returns (values, dvalues, winding, bound, m); bound > 0 proves the winding.
+    the winding.  v and d carry the FFT's per-sample rounding (Higham's bound, with its
+    sqrt(m)) and that of s_k.  Real coefficients are sampled at j = 0..m/2 only, one
+    ``rfft`` per series, to which the same bound is applied: the lower half circle is
+    the mirror image, so the upper half's phase steps make half the winding.  Complex
+    coefficients are sampled at all m points.  A bound above `charge` proves p's winding
+    to be q's, and bound - charge is reported.  m, first the power of two >=
+    max(4096, deg+1), doubles up to MAX_CONTOUR_SAMPLES while the sampled minimum less
+    `charge` clears `margin` but the bound does not.  Nonzero coefficients alone are
+    scaled, so zeros between the terms cost nothing but their FFT.  Returns (values,
+    dvalues, winding, bound, m), the samples on the half or the whole circle; bound > 0
+    proves the winding.
     """
-    k = np.arange(len(coeffs))
-    scaled = coeffs * rho ** k
-    sizes = (np.abs(scaled), np.abs(scaled * k))
-    m2 = float(np.sum(k * sizes[1])) * (1.0 + (len(k) + 4) * _U)
-    norms = [(math.sqrt(float(np.sum(a * a))), float(np.sum(a))) for a in sizes]
-    m = 1 << max(12, (len(k) - 1).bit_length())
+    k = np.flatnonzero(coeffs != 0)
+    terms = coeffs[k] * rho ** k
+    series = (np.zeros_like(coeffs), np.zeros_like(coeffs))
+    series[0][k], series[1][k] = terms, terms * k
+    sizes = [np.abs(a[k]) for a in series]
+    m2 = float(np.dot(k, sizes[1])) * (1.0 + (len(coeffs) + 4) * _U)
+    norms = [(math.sqrt(float(np.dot(a, a))), float(np.sum(a))) for a in sizes]
+    real = not np.iscomplexobj(coeffs)
+    m = 1 << max(12, (len(coeffs) - 1).bit_length())
     while True:
-        values = np.fft.ifft(scaled, m, norm="forward")
-        dvalues = np.fft.ifft(scaled * k, m, norm="forward")
+        if real:    # rfft takes e^(-i j h): its conjugates are the samples on the upper half
+            values, dvalues = (np.fft.rfft(a, m).conj() for a in series)
+        else:
+            values, dvalues = (np.fft.ifft(a, m, norm="forward") for a in series)
         h, lg = 2.0 * math.pi / m, math.log2(m)
         fft_rel = lg * _FFT_ETA / (1.0 - lg * _FFT_ETA) * math.sqrt(m)
         err_v, err_d = (fft_rel * l2 + 6.0 * _U * l1 for l2, l1 in norms)
         mods = np.abs(values)
         dmods = np.abs(dvalues) + err_d
-        bound = float(np.min(mods - err_v - 0.5 * h * dmods)) - 0.125 * h * h * m2
+        bound = float(np.min(mods - err_v - 0.5 * h * dmods)) - 0.125 * h * h * m2 - charge
         if not np.all(mods - 2.0 * err_v > h * dmods + 0.5 * h * h * m2):
             bound = min(bound, 0.0)
-        if bound > margin or float(mods.min()) <= margin or 2 * m > MAX_CONTOUR_SAMPLES:
+        if (bound > margin or float(mods.min()) - charge <= margin
+                or 2 * m > MAX_CONTOUR_SAMPLES):
             break
         m *= 2
-    steps = np.angle(np.roll(values, -1) * np.conj(values))
-    winding = int(round(float(np.sum(steps)) / (2.0 * math.pi)))
-    return values, dvalues, winding, bound, m
+    if real:    # the lower half circle mirrors the upper one and turns as far
+        phase = 2.0 * float(np.sum(np.angle(values[1:] * np.conj(values[:-1]))))
+    else:
+        phase = float(np.sum(np.angle(np.roll(values, -1) * np.conj(values))))
+    return values, dvalues, int(round(phase / (2.0 * math.pi))), bound, m
 
 
 def _newton_refine(weight, start: complex, residual_target: float):
@@ -288,14 +345,17 @@ def _locate_zeros(weight, values: np.ndarray, dvalues: np.ndarray, rho: float,
                   count: int, residual_target: float):
     """Zeros of F in |t| < rho from the contour samples of the certified polynomial p.
 
-    With `values` = p and `dvalues` = t p' on m uniform points of |t| = rho, the
-    trapezoid means of (t/rho)^k t p'/p are the scaled power sums of the `count`
-    zeros of p inside; their Hankel pencil's eigenvalues are those zeros (Delves &
-    Lyness 1967).  The sums are real, so the starts with Im >= 0 are
-    Newton-polished against the certified series and the non-real ones mirrored.
+    With `values` = p and `dvalues` = t p' at t_j = rho e^(2 pi i j/m), j = 0..m/2,
+    the upper half of m uniform points of |t| = rho, the trapezoid means of
+    (t/rho)^k t p'/p are the scaled power sums of the `count` zeros of p inside;
+    their Hankel pencil's eigenvalues are those zeros (Delves & Lyness 1967).  p is
+    real, so g = t p'/p on the lower half is the conjugate of g on the upper half, and
+    one ``irfft`` of the half circle gives the (real) means.  The starts with Im >= 0
+    are Newton-polished against the certified series and the non-real ones mirrored.
     """
     g = dvalues / values
-    hankel = np.fft.ifft(g).real[np.add.outer(np.arange(count), np.arange(count + 1))]
+    sums = np.fft.irfft(g, 2 * (len(g) - 1))
+    hankel = sums[np.add.outer(np.arange(count), np.arange(count + 1))]
     try:
         starts = rho * np.linalg.eigvals(np.linalg.solve(hankel[:, :-1], hankel[:, 1:]))
     except np.linalg.LinAlgError:      # singular H0: no starts, the shortfall is noted
@@ -315,13 +375,20 @@ def _locate_zeros(weight, values: np.ndarray, dvalues: np.ndarray, rho: float,
     return tuple(found)
 
 
+def _check_radius(rho: float) -> None:
+    if not 0.0 < rho < 1.0:     # also rejects nan
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+
+
 def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroReport:
     """Certified zero count of F in |t| < rho via the argument principle.
 
     The winding of the degree-(N+2) polynomial (1-t)^2 P_N is computed on
     the contour, N first where the series tail at rho falls below 1e-4 alpha_0
-    (``terms_for_tolerance``); certification requires the proven lower bound of its modulus
-    there to exceed weight.series_tail(rho, N) * (1+rho)^2, in which case Rouche
+    (``terms_for_tolerance``); the polynomial comes in its outer-tail form
+    (``_outer_tail_poly``), whose cut and rounding the bound is charged with.
+    Certification requires the proven lower bound of its modulus there to
+    exceed weight.series_tail(rho, N) * (1+rho)^2, in which case Rouche
     transfers the count to (1-t)^2 F and hence to F ((1-t)^2 is zero-free in
     the disc; nothing is subtracted since rho < 1).  A sampled minimum below
     that margin deepens the truncation.  If the contour passes too near a
@@ -329,8 +396,7 @@ def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroRepor
     then uncertified and claims no count (see ``ZeroReport``), and its
     diagnostics say why the last attempt failed.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    _check_radius(rho)
     label = weight.label()
     alpha0 = float(weight.alphas(0)[0])
     for offset in (0.0, 1e-3, -1e-3, 2e-3, -2e-3):
@@ -346,8 +412,9 @@ def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroRepor
         while True:
             tail = weight.series_tail(rho_try, n)
             margin = tail * (1.0 + rho_try) ** 2
-            values, dvalues, winding, bound, samples = _contour(
-                diagonal_poly(weight, n), rho_try, margin)
+            coeffs, _, remainder, rounding = _outer_tail_poly(weight, n, rho_try, margin)
+            charge = remainder + rounding
+            values, dvalues, winding, bound, samples = _contour(coeffs, rho_try, margin, charge)
             if bound > margin:
                 zeros = () if not locate or winding == 0 else _locate_zeros(
                     weight, values, dvalues, rho_try, winding, RESIDUAL_FACTOR * alpha0)
@@ -359,7 +426,7 @@ def count_zeros_winding(weight, rho: float, *, locate: bool = True) -> ZeroRepor
                                   n_terms=n, min_contour_modulus=bound, tail=tail,
                                   contour_samples=samples, diagnostics="; ".join(notes))
             sampled = float(np.abs(values).min())
-            if sampled > margin:
+            if sampled - charge > margin:
                 last_note = (f"contour at rho={rho_try} came within {sampled:.3e} "
                              f"of a zero ({samples} samples)")
                 break
@@ -400,8 +467,7 @@ def _sweep_one(a: float, x: float, rho: float) -> SweepCell:
 def sweep_step_weights(plateau_values, split_values, rho: float = 0.95):
     """Zero counts over a grid of plateau weights (value A on [0,x], 1 outside),
     in (A, x) row order."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    _check_radius(rho)
     return [_sweep_one(float(a), float(x), rho) for a in plateau_values for x in split_values]
 
 
@@ -533,8 +599,7 @@ def inflation_check(weight, z: complex, t: complex, tol: float = 1e-8) -> Inflat
     survive at w = s = 0); the right side is the certified series
     evaluation divided by pi.  Both sides should agree to tol.
     """
-    if abs(z) >= 1.0 or abs(t) >= 1.0:
-        raise ValueError("z and t must lie inside the unit disc")
+    _check_in_disc("z and t", z, t)
     q = complex(z) * np.conj(complex(t))
     try:    # each series gets tol/100; a failure names the tol given
         # its terms alpha_m q^m/pi are the kernel series' over pi, and so is its tail

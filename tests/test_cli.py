@@ -3,6 +3,7 @@ import ast
 import csv
 import functools
 import importlib
+import itertools
 import json
 import math
 import os
@@ -198,6 +199,11 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
     (["repro-all", "--only", "dirac", "--perturb", "nan"], None),
     (["repro-all", "--only", "dirac", "--perturb", "-1"], None),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", ""], None),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", "1"], None),
+    (["find-zeros", "--step", "18,0.25", "--rho", "nan"], None),
+    (["find-zeros", "--step", "18,0.25", "--rho", "1"], None),
+    (["kernel-eval", "--step", "18,0.25", "--z", "nan", "--w", "0.5"], None),
+    (["inflate-check", "--step", "18,0.25", "--z", "nan", "--t", "0.5"], None),
     (["lp-probe", "--step", "18,0.25", "-N", "4", "--radial", "0"], None),
     (["lp-probe", "--step", "18,0.25", "-N", "-1"], None),
     (["lp-probe", "--step", "18,0.25", "--angular", "5"], None),
@@ -222,7 +228,8 @@ _NAN_STEP = {"type": "step", "segments": [[math.nan, 2], [1, 1]]}
         "sweep-rho-1", "repro-all-unknown-id", "repro-all-unknown-ids",
         "repro-all-known-and-unknown-id", "kernel-eval-negative-tol", "kernel-eval-nan-tol",
         "kernel-eval-origin-negative-tol", "inflate-check-negative-tol", "repro-all-nan-perturb",
-        "repro-all-perturb-minus-1", "lp-probe-empty-p", "lp-probe-radial-0",
+        "repro-all-perturb-minus-1", "lp-probe-empty-p", "lp-probe-p-1", "find-zeros-rho-nan",
+        "find-zeros-rho-1", "kernel-eval-nan-point", "inflate-check-nan-point", "lp-probe-radial-0",
         "lp-probe-negative-degree", "lp-probe-too-few-angular", "lp-probe-grid-limit",
         "weight-step-no-segments", "weight-step-short-segment",
         "weight-step-segments-not-a-list", "weight-sampled-no-values", "weight-dirac-no-mass",
@@ -271,6 +278,18 @@ def _assert_one_error_line(captured):
      "error: --angular: need at least 244 angular nodes"),
     (["lp-probe", "--step", "18,0.25", "--radial", "100000"], 2,
      "error: --radial/--angular: 2x100000 radial by 248 angular nodes exceed the grid limit"),
+    (["lp-probe", "--step", "18,0.25", "-N", "4", "--p", "2,1"], 2,
+     "error: --p: p must lie in (1, inf), got 1.0\n"),
+    (["find-zeros", "--step", "18,0.25", "--rho", "nan"], 2,
+     "error: --rho: rho must lie in (0,1), got nan\n"),
+    (["find-zeros", "--step", "18,0.25", "--rho", "1"], 2,
+     "error: --rho: rho must lie in (0,1), got 1.0\n"),
+    (["sweep", "--A", "2:3:1", "--x", "0.5:0.5:1", "--rho", "1"], 2,
+     "error: --rho: rho must lie in (0,1), got 1.0\n"),
+    (["kernel-eval", "--step", "18,0.25", "--z", "nan", "--w", "0.5"], 2,
+     "error: --z/--w: z and w must lie inside the unit disc, got (nan+0j), (0.5+0j)\n"),
+    (["inflate-check", "--step", "18,0.25", "--z", "0.5", "--t", "nan"], 2,
+     "error: --z/--t: z and t must lie inside the unit disc, got (0.5+0j), (nan+0j)\n"),
     (["dirac", "--k", "2", "--out", "{missing}/x.json"], 2, "nope.json"),
     (["find-zeros", "--step", "18,0.25", "--rho", "0.9", "--out", "{directory}"], 2,
      "Is a directory"),
@@ -278,6 +297,8 @@ def _assert_one_error_line(captured):
         "find-zeros-bad-step", "find-zeros-missing-weight", "find-zeros-no-weight",
         "lp-probe-functions-object", "lp-probe-empty-p", "lp-probe-radial-0",
         "lp-probe-negative-degree", "lp-probe-too-few-angular", "lp-probe-grid-limit",
+        "lp-probe-p-1", "find-zeros-rho-nan", "find-zeros-rho-1", "sweep-rho-1",
+        "kernel-eval-nan-point", "inflate-check-nan-point",
         "dirac-missing-out-dir", "find-zeros-out-is-directory"])
 def test_every_failure_is_one_error_line(argv, status, needle, tmp_path, capsys):
     spec_file = tmp_path / "input.json"
@@ -713,6 +734,14 @@ def test_moments_closed_form_csv_bytes(argv, label, rows, capsys):
         "n,mu,alpha,method,err\n" + "".join(row + "\n" for row in rows))
 
 
+def _assert_same_lines(got: str, want: str):
+    """got == want, reporting the first line that differs: pytest's diff of two long
+    strings takes minutes."""
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    first = next(((i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first[0]}: got {first[1][0]!r}, want {first[1][1]!r}"
+
+
 def test_moments_csv_bytes_at_2000_terms(tmp_path, capsys):
     # the rows reach the CSV writer one at a time; every byte is the row format of the table
     table = bergkern.cli.moment_table(StepWeight.from_plateau(18.0, 0.25), 2000)
@@ -722,10 +751,11 @@ def test_moments_csv_bytes_at_2000_terms(tmp_path, capsys):
                 f"{n},{mu!r},{alpha!r},closed_form,{err!r}\n" for n, (mu, alpha, err)
                 in enumerate(zip(table.mus.tolist(), table.alphas.tolist(), table.errs.tolist()))))
     assert main(["moments", "--step", "18,0.25", "-N", "2000"]) == 0
-    assert capsys.readouterr().out == want
+    _assert_same_lines(capsys.readouterr().out, want)
     out = tmp_path / "moments.csv"
     assert main(["moments", "--step", "18,0.25", "-N", "2000", "--out", str(out)]) == 0
-    assert out.read_text() == want and want.count("\n") == 2003
+    _assert_same_lines(out.read_text(), want)
+    assert want.count("\n") == 2003
 
 
 def test_moments_csv_rows_cross_chunk_boundaries(monkeypatch, capsys):

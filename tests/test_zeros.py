@@ -631,6 +631,121 @@ def test_contour_away_from_zeros_counts_them():
 
 
 # --------------------------------------------------------------------------
+# outer-tail form and half-circle sampling
+# --------------------------------------------------------------------------
+
+_COUNTED_SHAPES = st.one_of(
+    st.builds(StepWeight.from_plateau, st.floats(0.3, 35.0), st.floats(0.1, 0.9)),
+    st.builds(lambda a, x: mollify_weight(StepWeight.from_plateau(a, x), 0.02),
+              st.floats(0.3, 35.0), st.floats(0.1, 0.9)),
+    st.floats(0.0, 100.0).map(DiracAugmentedWeight),
+    st.floats(0.25, 4.0).map(ConstantWeight))
+
+
+def _counter_margin(weight, rho):
+    """The counter's first truncation N at rho and its certification margin."""
+    n = max(kernel.terms_for_tolerance(weight.series_tail, rho, 1e-4 * weight.alphas(0)[0]), 8)
+    return n, weight.series_tail(rho, n) * (1.0 + rho) ** 2
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_COUNTED_SHAPES, st.floats(0.3, 0.99))
+@example(StepWeight.from_plateau(18.0, 0.25), 0.7)        # one zero inside
+@example(StepWeight.from_plateau(12.0, 0.6), 0.99)        # a conjugate pair
+@example(DiracAugmentedWeight(10.0), 0.99)
+def test_half_circle_contour_matches_the_full_circle(weight, rho):
+    n, margin = _counter_margin(weight, rho)
+    p = diagonal_poly(weight, n)
+    half, full = zeros._contour(p, rho, margin), zeros._contour(p.astype(complex), rho, margin)
+    assert len(half[0]) == half[4] // 2 + 1 and len(full[0]) == full[4]
+    assert (half[2], half[3] > margin, half[4]) == (full[2], full[3] > margin, full[4])
+    assert half[3] == pytest.approx(full[3], rel=1e-9)
+
+
+def _explicit_delta(weight, n):
+    """delta_k = alpha_k - (k+1)/(pi v_out), k = 0..n, from g_k without cancellation."""
+    g, v_out = weight.outer_g(n), weight.v_out
+    return -(np.arange(1.0, n + 2.0) / (PI * v_out)) * (g / (v_out + g))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_COUNTED_SHAPES, st.floats(0.3, 0.99))
+@example(StepWeight.from_plateau(18.0, 0.25), 0.99)
+@example(StepWeight.from_plateau(1e300, 0.5), 0.99)       # delta_tail overflows: M = N
+def test_outer_tail_form_is_the_counted_polynomial(weight, rho):
+    n, margin = _counter_margin(weight, rho)
+    coeffs, cut, remainder, rounding = zeros._outer_tail_poly(weight, n, rho, margin)
+    assert len(coeffs) == n + 3 and 0 <= cut <= n
+    delta = _explicit_delta(weight, n)
+    # what the cut leaves out is (1-t)^2 sum_{cut<k<=n} delta_k t^k, below the remainder's bound
+    dropped = np.zeros(n + 3)
+    if cut < n:
+        dropped[cut + 1:] = np.convolve(delta[cut + 1:], (1.0, -2.0, 1.0))
+    explicit = 4.0 * math.fsum(np.abs(delta[cut + 1:]) * rho ** np.arange(cut + 1.0, n + 1.0))
+    assert explicit <= remainder <= zeros.REMAINDER_FRACTION * margin
+    assert cut < n or remainder == 0.0
+    # both forms round their second differences: alpha's cancel, delta's and the
+    # boundary's (which meet at t^0 and t^(n+1), t^(n+2)) may cancel too
+    a = weight.alphas(n)
+    spread = lambda x: np.convolve(np.abs(x), (1.0, 2.0, 1.0))
+    boundary = np.zeros(n + 3)
+    boundary[[0, n + 1, n + 2]] = np.array([1.0, n + 2.0, n + 1.0]) / (PI * weight.v_out)
+    allowance = 16.0 * U * (spread(a) + spread(delta) + boundary)
+    assert np.all(np.abs(coeffs + dropped - diagonal_poly(weight, n)) <= allowance)
+    # the float coefficients' rounding is charged on the circle
+    assert rounding >= 4.0 * U * float(np.dot(spread(delta[:cut + 1]), rho ** np.arange(cut + 3.0)))
+
+
+def test_reported_bound_charges_the_outer_tail_remainder(step18):
+    rho = 0.99
+    rep = count_zeros_winding(step18, rho, locate=False)
+    margin = rep.tail * (1.0 + rho) ** 2
+    coeffs, cut, remainder, rounding = zeros._outer_tail_poly(step18, rep.n_terms, rho, margin)
+    assert cut < rep.n_terms and remainder > 1e3 * rounding
+    uncharged = zeros._contour(coeffs, rho, margin)
+    assert uncharged[4] == rep.contour_samples
+    assert uncharged[3] - rep.min_contour_modulus == pytest.approx(remainder + rounding, rel=1e-6)
+
+
+# Higham's normwise bound for the FFT, turned into a per-sample bound (times sqrt(m)),
+# and the rounding of s_k = c_k rho^k: what _contour charges each sample
+def _charged_sample_error(sizes, m):
+    eta = U + 4.0 * U / (1.0 - 4.0 * U) * (math.sqrt(2.0) + U)
+    lg = math.log2(m)
+    return (lg * eta / (1.0 - lg * eta) * math.sqrt(m) * math.sqrt(float(np.dot(sizes, sizes)))
+            + 6.0 * U * float(np.sum(sizes)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40), st.floats(0.3, 0.99))
+@example([1.0, -2.0, 1.0], 0.9)
+def test_half_circle_samples_agree_with_mpmath(coeffs, rho):
+    # the rfft samples lie within the bound _contour charges, and its lower bound is no
+    # higher than the exact samples, less that charge, allow at the sample that sets it
+    coeffs = np.array(coeffs)
+    values, dvalues, winding, bound, m = zeros._contour(coeffs, rho, 0.0)
+    assert m == 4096 and len(values) == m // 2 + 1
+    k = np.arange(len(coeffs))
+    sizes = np.abs(coeffs * rho ** k)
+    err_v, err_d = _charged_sample_error(sizes, m), _charged_sample_error(sizes * k, m)
+    h = 2.0 * PI / m
+    m2 = float(np.dot(k * k, sizes))
+    per_sample = np.abs(values) - 0.5 * h * np.abs(dvalues)
+    picks = sorted({0, m // 2, int(np.argmin(per_sample)), *range(7, m // 2, 97)})
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(float(x)) for x in coeffs]
+        dc = [ci * i for i, ci in enumerate(c)]
+        for j in picks:
+            t = mpmath.mpf(rho) * mpmath.expjpi(mpmath.mpf(2 * j) / m)
+            exact, dexact = mpmath.polyval(c[::-1], t), mpmath.polyval(dc[::-1], t)
+            miss_v, miss_d = float(abs(values[j] - exact)), float(abs(dvalues[j] - dexact))
+            assert miss_v <= err_v and miss_d <= err_d
+            allowed = (float(abs(exact)) + miss_v - err_v
+                       - 0.5 * h * (float(abs(dexact)) - miss_d + err_d) - 0.125 * h * h * m2)
+            assert bound <= allowed + 1e-3 * err_v
+
+
+# --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
 
