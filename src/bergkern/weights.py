@@ -34,8 +34,8 @@ Each shape carries its own closed forms, so nothing downstream dispatches
 on the type:
 
 * ``outer_g(n_max)`` -- g_0..g_n_max, vectorised over n: one ``exp`` per step
-  jump (none for a constant), one ``exp``/``expm1`` pair per sloped interval
-  of a sampled weight, and mass/pi at n = 0 for the point mass;
+  jump (none for a constant), one blocked (intervals x n) ``exp``/``expm1`` pass
+  for a sampled weight, and mass/pi at n = 0 for the point mass;
 * ``series_tail(rho, n)`` -- the majorant of |sum_{k>n} alpha_k t^k| on |t| <= rho behind
   every certified truncation, from ``alpha_bound`` = sup alpha_n*pi/(n+1) (the comparability
   constant, read once per weight; 1 for the point mass, which has none);
@@ -67,6 +67,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 MAX_TERMS = 400_000     # coefficient budget of every truncation and coefficient request
+OUTER_BLOCK = 1 << 16   # entries of one block of a sampled weight's (intervals x n) terms
 _U = 0.5 * np.finfo(float).eps               # unit roundoff
 _TINY = float(np.finfo(float).smallest_subnormal)
 
@@ -82,10 +83,6 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 # weight variants
 # ---------------------------------------------------------------------------
-
-def _indices(n_max: int) -> np.ndarray:
-    return np.arange(n_max + 1, dtype=float)
-
 
 def _frozen_arrays(*columns):
     arrays = tuple(np.array(c) for c in columns)
@@ -208,7 +205,7 @@ class StepWeight(_Weight):
     def outer_g(self, n_max: int) -> np.ndarray:
         # exp(p*ln b) is within about (p*|ln b| + 2)u of b^p and p*|ln b|*b^p <= 1/e,
         # so each term is within |c|*O(u) absolutely, as with pow, for every p
-        p = 2.0 * _indices(n_max) + 2.0
+        p = np.arange(2.0, 2.0 * n_max + 3.0, 2.0)
         g = np.zeros_like(p)
         for c, b in self._jumps():
             m = _normal_powers(p, b)
@@ -295,7 +292,10 @@ class SampledWeight(_Weight):
 
         g_n = -int_0^1 r^q f'(r) dr / q = sum_j s_j r_{j+1}^q expm1(-q ln(r_{j+1}/r_j)) / q,
 
-    each term a cancellation-free -(r_{j+1}^q - r_j^q).
+    each term a cancellation-free -(r_{j+1}^q - r_j^q).  ``outer_g`` sums them in one array
+    pass over the sloped intervals and n, in blocks of about OUTER_BLOCK entries, interval after
+    interval.  f vanishes from r_f, the first knot whose value and all later ones are v_out, so
+    |g_n| <= G r_f^(2n+2) with G = max_i |v_i - v_out| (``_geometric_bound``).
     """
 
     radii: tuple
@@ -329,20 +329,30 @@ class SampledWeight(_Weight):
         return f"sampled[{len(self.radii)} pts, r<={self.radii[-1]:g}]"
 
     def outer_g(self, n_max: int) -> np.ndarray:
-        q = 2.0 * _indices(n_max) + 3.0
-        g = np.zeros_like(q)
         rr, vv = self._arrays
-        a, b = rr[:-1], rr[1:]
+        s = np.diff(vv) / np.diff(rr)
+        a, b, s = [col[s != 0.0] for col in (rr[:-1], rr[1:], s)]     # flat intervals add nothing
         with np.errstate(divide="ignore", over="ignore"):
-            log_ratio = np.log1p((b - a) / a)       # ln(b/a) without cancellation; inf at a = 0
-        for s, log_b, lr, m in zip(np.diff(vv) / (b - a), np.log(b), log_ratio, _normal_powers(q, b)):
-            if s != 0.0:
-                g[:m] += s * np.exp(q[:m] * log_b) * np.expm1(q[:m] * -lr)
-        return g / q
+            log_ratio = np.log1p((b - a) / a)[:, None]      # ln(b/a), no cancellation; inf at a = 0
+        # no exponent past _normal_powers' cutoff t at the largest b is used: 2n+3 <= t, n < t/2
+        top = min(n_max + 1, int(-708.0 / np.log(b[-1])) // 2) if len(b) else 0
+        q, g = np.arange(3.0, 2.0 * top + 2.0, 2.0), np.zeros(n_max + 1)
+        m, log_b = _normal_powers(q, b), np.log(b)[:, None]     # m nondecreasing, as b is
+        lo = first = 0
+        while first < len(m):   # columns lo..hi-1 of each interval whose m exceeds lo; hi <= that m
+            hi = min(m[first], lo + max(1, OUTER_BLOCK // (len(m) - first)))
+            qb = q[lo:hi]
+            terms = s[first:, None] * np.exp(qb * log_b[first:]) * np.expm1(qb * -log_ratio[first:])
+            # numpy adds the rows in order over two or more columns, but a lone column pairwise
+            g[lo:hi] = terms.sum(axis=0) if hi - lo > 1 else terms.cumsum(axis=0)[-1]
+            lo, first = hi, np.searchsorted(m, hi, side="right")
+        g[:len(q)] /= q
+        return g
 
     @cached_property
-    def _geometric_bound(self):     # |lam - v_out| <= G = max_i |v_i - v_out| on [0, r_last]
-        return max(abs(v - self.v_out) for v in self.values), self.radii[-1] ** 2
+    def _geometric_bound(self):     # G and r_f^2 of the class docstring
+        flat = np.max(np.flatnonzero(self._arrays[1] != self.v_out) + 1, initial=0)
+        return max(abs(v - self.v_out) for v in self.values), self.radii[flat] ** 2
 
     def to_json(self) -> dict:
         return {"type": "sampled", "radii": list(self.radii), "values": list(self.values)}
@@ -518,7 +528,7 @@ def alphas_closed_form(weight, n_max: int) -> np.ndarray:
     """alpha_n = (n+1)/(pi*(v_out + g_n)) for n = 0..n_max, g_n from the weight's ``outer_g``."""
     if n_max > MAX_TERMS:
         raise ValueError(f"coefficient index {n_max} exceeds MAX_TERMS = {MAX_TERMS}")
-    return (_indices(n_max) + 1.0) / (math.pi * (weight.v_out + weight.outer_g(n_max)))
+    return np.arange(1.0, n_max + 2.0) / (math.pi * (weight.v_out + weight.outer_g(n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from bergkern import (ConstantWeight, DiracAugmentedWeight, QuadratureError, Sam
                       weight_from_json, weight_to_json)
 from bergkern import weights
 from bergkern.weights import alphas_closed_form
-from bergkern.zeros import mollify_weight, second_difference_bound
+from bergkern.zeros import count_zeros_winding, mollify_weight, second_difference_bound
 from rational_oracle import step_alpha_pi_fraction
 
 PI = math.pi
@@ -308,6 +309,91 @@ def test_sampled_flat_extrapolation():
     assert w.evaluate(0.15) == pytest.approx(2.5)
 
 
+def _outer_g_loop(weight, n_max):
+    """The per-interval loop that the blocked pass of ``SampledWeight.outer_g`` replaces:
+    (g_0..g_n_max, sum_j |term_jn| / q_n), with its own underflow mask from a sorted search."""
+    q = 2.0 * np.arange(n_max + 1.0) + 3.0
+    g, scale = np.zeros_like(q), np.zeros_like(q)
+    rr, vv = weight._arrays
+    a, b = rr[:-1], rr[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_ratio = np.log1p((b - a) / a)
+    counts = np.searchsorted(q, -708.0 / np.log(b), side="right")
+    for s, log_b, lr, m in zip(np.diff(vv) / (b - a), np.log(b), log_ratio, counts):
+        if s != 0.0:
+            term = s * np.exp(q[:m] * log_b) * np.expm1(q[:m] * -lr)
+            g[:m] += term
+            scale[:m] += np.abs(term)
+    return g / q, scale / q
+
+
+@st.composite
+def _sampled_weights(draw):
+    # 2-120 knots from r_0 = 0 or r_0 > 0 up to 1 - 1e-9, values drawn from a pool of at
+    # most four, so that flat weights, runs of zero slope and non-monotone values all occur
+    k = draw(st.integers(min_value=2, max_value=120))
+    first = draw(st.just(0.0) | st.floats(min_value=1e-6, max_value=0.5))
+    last = draw(st.just(1.0 - 1e-9) | st.floats(min_value=first + 0.01, max_value=1.0 - 1e-9))
+    steps = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=k - 1, max_size=k - 1)))
+    pool = draw(st.lists(_positive, min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    return SampledWeight((first, *(first + (last - first) * steps / steps[-1])), values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight=_sampled_weights())
+@example(weight=mollify_weight(StepWeight.from_plateau(12.0, 0.25), 0.02))
+@example(weight=SampledWeight((0.0, 0.5), (2.0, 2.0)))
+@example(weight=SampledWeight((0.0, 0.3, 0.5, 1.0 - 1e-9), (2.0, 0.5, 0.5, 4.0)))
+def test_sampled_outer_g_matches_the_interval_loop(weight):
+    # every n_max width class: one column, two, a block edge +-1 and long rows
+    sloped = int(np.count_nonzero(np.diff(weight.values)))
+    edge = weights.OUTER_BLOCK // max(sloped, 1)
+    for n_max in (0, 1, edge - 2, edge - 1, edge, 400, 3000):
+        g, scale = _outer_g_loop(weight, n_max)
+        assert np.all(np.abs(weight.outer_g(n_max) - g) <= 4.0 * U * scale), n_max
+
+
+def test_sampled_outer_g_at_the_coefficient_budget_stays_small():
+    weight = mollify_weight(StepWeight.from_plateau(30.0, 0.95), 0.02)
+    tracemalloc.start()
+    try:
+        g = weight.outer_g(weights.MAX_TERMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g) == weights.MAX_TERMS + 1 and peak <= 16 * 2 ** 20, peak
+
+
+def test_mollified_plateau_tail_ratio_is_its_ramp_end():
+    # the smoothed jump reaches v_out = 1 exactly at its 79th of 81 samples, which starts the
+    # flat run; the earlier sample, and the last knot at (0.27 + 1)/2, give the wrong q
+    weight = mollify_weight(StepWeight.from_plateau(12.0, 0.25), 0.02)
+    ramp = np.linspace(0.23, 0.27, 81)
+    flat = weight.radii.index(ramp[78])
+    assert weight.values[flat - 1] != 1.0 and set(weight.values[flat:]) == {1.0}
+    assert weight._geometric_bound == (11.0, ramp[78] ** 2)
+
+
+def test_sampled_counts_keep_the_interval_loop_results(monkeypatch):
+    # a smoothed-plateau lattice counted with the blocked pass and the first flat knot's q,
+    # then with the interval loop and the last knot's q
+    lattice = [(a, x, w) for a in (12.0, 20.0, 30.0) for x in (0.25, 0.5, 0.75) for w in (0.02, 0.04)]
+
+    def reports():
+        return [count_zeros_winding(mollify_weight(StepWeight.from_plateau(a, x), w), 0.99,
+                                    locate=False) for a, x, w in lattice]
+
+    blocked = reports()
+    monkeypatch.setattr(SampledWeight, "outer_g", lambda w, n: _outer_g_loop(w, n)[0])
+    monkeypatch.setattr(SampledWeight, "_geometric_bound", property(lambda w: (
+        max(abs(v - w.v_out) for v in w.values), w.radii[-1] ** 2)))
+    for new, old in zip(blocked, reports()):
+        assert (new.zero_count, new.certified, new.n_terms, new.contour_samples) == \
+            (old.zero_count, old.certified, old.n_terms, old.contour_samples), new.weight_label
+        assert new.min_contour_modulus == pytest.approx(old.min_contour_modulus, rel=1e-8)
+
+
 # --------------------------------------------------------------------------
 # point-mass weight moments
 # --------------------------------------------------------------------------
@@ -327,6 +413,15 @@ def test_dirac_moments():
 # --------------------------------------------------------------------------
 
 _positive = st.floats(min_value=0.1, max_value=50.0)
+
+
+def _sampled_with_flat_tail(knots, tail):
+    # (gap, value) knots, then knots at the tail gaps valued exactly v_out, which the
+    # tail ratio q of ``_geometric_bound`` stops short of
+    return SampledWeight(radii=tuple(np.cumsum([g for g, _ in knots] + tail)),
+                         values=tuple([v for _, v in knots] + [knots[-1][1]] * len(tail)))
+
+
 _any_weight = st.one_of(
     st.builds(ConstantWeight, _positive),
     st.builds(StepWeight.from_plateau, _positive, st.floats(min_value=0.02, max_value=0.98)),
@@ -334,15 +429,17 @@ _any_weight = st.one_of(
              min_size=2, max_size=4).map(lambda segs: StepWeight(
                  breakpoints=tuple(np.cumsum([g for g, _ in segs]) / sum(g for g, _ in segs)),
                  values=tuple(v for _, v in segs))),
-    st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.19), _positive),
-             min_size=2, max_size=5).map(lambda knots: SampledWeight(
-                 radii=tuple(np.cumsum([g for g, _ in knots])), values=tuple(v for _, v in knots))),
+    st.builds(_sampled_with_flat_tail,
+              st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.19), _positive),
+                       min_size=2, max_size=5),
+              st.lists(st.floats(min_value=0.001, max_value=0.01), max_size=3)),
     st.builds(DiracAugmentedWeight, st.floats(min_value=0.0, max_value=50.0)),
 )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(weight=_any_weight)
+@example(weight=mollify_weight(StepWeight.from_plateau(12.0, 0.25), 0.02))
 def test_outer_tail_bounds_every_term(weight):
     # alpha_n = (n+1)/(pi*(v_out + g_n)) with |g_n| <= G*q^(n+1) for every n >= 0,
     # except for the point mass, whose only nonzero g_n is g_0 = mass/pi
@@ -360,6 +457,7 @@ def test_outer_tail_bounds_every_term(weight):
 @given(weight=_any_weight, n=st.integers(min_value=0, max_value=100))
 @example(weight=StepWeight.from_plateau(0.5, 0.6), n=0)      # fails for half the bound
 @example(weight=DiracAugmentedWeight(1e250), n=0)
+@example(weight=mollify_weight(StepWeight.from_plateau(12.0, 0.25), 0.02), n=0)
 def test_delta_tail_bounds_the_coefficient_tail(weight, n):
     # delta_m = alpha_m - (m+1)/(pi*v_out) = -(m+1) g_m/(pi v_out (v_out + g_m))
     m = np.arange(n + 201)
